@@ -1,24 +1,15 @@
 """Regenerate BENCH_exec.json: the raw-speed trajectory of the executor.
 
 Runs the execution-heavy GE/LUD/Hydro sweep (repro.runtime.parallel)
-through four regimes:
+through three regimes:
 
-* **scalar** — the interpreter-grade scalar backend, single process;
+* **scalar** — the interpreter-grade scalar backend;
 * **vector** — the vectorizing NumPy backend, cold memo cache;
-* **procpool** — the vector backend fanned out to ``--exec-jobs 4``
-  forked workers over shared-memory buffers;
 * **warm-persistent** — a fresh memory cache re-entering vectorized
   plans from the persistent disk tier: provably codegen-free (zero
   ``execute.vectorize`` spans).
 
 Every regime must produce byte-identical buffers (one shared digest).
-
-The process-pool speedup criterion is **core-aware**: ``>= 2x`` is
-asserted only when the machine exposes at least two effective cores;
-on a single-core runner the pool cannot beat one process, so the gate
-degrades to a bounded-overhead check instead of asserting fiction.
-``cpu_count`` is recorded in the payload so a reader can tell which
-gate applied.
 
 Run from the repo root:
 
@@ -30,7 +21,6 @@ CI regression gate (compares against the committed baseline):
 """
 
 import json
-import os
 import sys
 import tempfile
 import time
@@ -43,51 +33,40 @@ from repro.telemetry.spans import configure_tracer, reset_tracer
 
 SIZES = {"ge": 512, "lud": 768, "hydro": 512}
 REPEATS = 4
-POOL_JOBS = 4
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
 
 
-def effective_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _cold(jobs: int, backend: str) -> dict:
+def _cold(backend: str) -> dict:
     clear_kernel_cache(memory_only=True)
     reset_registry()
     start = time.perf_counter()
-    result = run_exec_sweep(jobs=jobs, backend=backend,
-                            sizes=SIZES, repeats=REPEATS)
+    result = run_exec_sweep(backend=backend, sizes=SIZES, repeats=REPEATS)
     result["wall_s"] = time.perf_counter() - start
     result["counters"] = dict(get_registry().snapshot()["counters"])
     return result
 
 
 def run_bench() -> dict:
-    cores = effective_cores()
     with tempfile.TemporaryDirectory() as plans:
         configure_plan_cache(plans)
         try:
             clear_kernel_cache()
-            scalar = _cold(jobs=1, backend="scalar")
-            vector = _cold(jobs=1, backend="vector")
-            pool = _cold(jobs=POOL_JOBS, backend="vector")
+            scalar = _cold(backend="scalar")
+            vector = _cold(backend="vector")
 
             # warm-persistent: fresh memory tier, plans re-entered from
             # disk; the tracer proves no execute.vectorize span ran
             clear_kernel_cache(memory_only=True)
             reset_registry()
             tracer = configure_tracer(enabled=True)
-            warm = _cold(jobs=1, backend="vector")
+            warm = _cold(backend="vector")
             vectorize_spans = len(tracer.spans_named("execute.vectorize"))
             reset_tracer()
         finally:
             configure_plan_cache(None)
             clear_kernel_cache()
 
-    digests = {r["digest"] for r in (scalar, vector, pool, warm)}
+    digests = {r["digest"] for r in (scalar, vector, warm)}
     assert len(digests) == 1, f"regimes disagree bytewise: {digests}"
     assert vectorize_spans == 0, (
         f"warm-persistent run emitted {vectorize_spans} "
@@ -100,51 +79,31 @@ def run_bench() -> dict:
     # compile, which is identical across regimes and would dilute the
     # execution-bound comparison the paper's Fig. 4 grids care about
     vector_speedup = scalar["seconds"] / vector["seconds"]
-    pool_speedup = vector["seconds"] / pool["seconds"]
     assert vector_speedup >= 2.0, (
         f"vector backend only {vector_speedup:.2f}x over scalar"
     )
-    if cores >= 2:
-        assert pool_speedup >= 2.0, (
-            f"--exec-jobs {POOL_JOBS} only {pool_speedup:.2f}x over "
-            f"single-process on {cores} cores"
-        )
-    else:
-        # single-core runner: the pool cannot win; require its fork +
-        # shared-memory overhead stays bounded instead
-        assert pool["seconds"] <= vector["seconds"] * 12.0, (
-            f"procpool overhead unbounded on 1 core: "
-            f"{pool['seconds']:.3f}s vs {vector['seconds']:.3f}s"
-        )
 
     return {
         "benchmark": "exec-raw-speed",
         "sizes": SIZES,
         "repeats": REPEATS,
-        "pool_jobs": POOL_JOBS,
-        "cpu_count": cores,
         "digest": vector["digest"],
         "tasks": len(vector["tasks"]),
         "latency_s": {
             "scalar": round(scalar["seconds"], 4),
             "vector_cold": round(vector["seconds"], 4),
-            "vector_procpool": round(pool["seconds"], 4),
             "warm_persistent": round(warm["seconds"], 4),
         },
         "vector_speedup": round(vector_speedup, 1),
-        "procpool_speedup": round(pool_speedup, 2),
-        "procpool_gate": "2x" if cores >= 2 else "bounded-overhead",
         "warm_vectorize_spans": vectorize_spans,
         "counters": {
             "cold": vector["counters"],
             "warm_persistent": warm["counters"],
         },
         "notes": (
-            "scalar/vector/procpool run cold; warm-persistent re-enters "
+            "scalar/vector run cold; warm-persistent re-enters "
             "vectorized plans from the disk tier (zero execute.vectorize "
-            "spans). All four regimes are byte-identical (one digest). "
-            "The >=2x procpool gate applies only with >=2 effective "
-            "cores; single-core runners assert bounded overhead instead."
+            "spans). All three regimes are byte-identical (one digest)."
         ),
     }
 
@@ -184,9 +143,7 @@ def check_baseline(record: dict) -> int:
             print(f"BENCH_exec regression: {failure}", file=sys.stderr)
         return 1
     print(f"BENCH_exec gate OK: digest + counters match baseline, "
-          f"vector {record['vector_speedup']}x (floor {floor}x), "
-          f"procpool {record['procpool_speedup']}x "
-          f"[{record['procpool_gate']} gate, {record['cpu_count']} cores]")
+          f"vector {record['vector_speedup']}x (floor {floor}x)")
     return 0
 
 
@@ -197,9 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return check_baseline(record)
     BASELINE.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"latency_s": record["latency_s"],
-                      "vector_speedup": record["vector_speedup"],
-                      "procpool_speedup": record["procpool_speedup"],
-                      "procpool_gate": record["procpool_gate"]}, indent=2))
+                      "vector_speedup": record["vector_speedup"]}, indent=2))
     print(f"wrote {BASELINE}")
     return 0
 

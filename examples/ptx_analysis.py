@@ -15,7 +15,9 @@ from repro.compilers import NvidiaOpenCLCompiler, OpenCLKernelSpec, OpenCLProgra
 from repro.core.method import ptx_profile
 from repro.ir import HmppUnroll
 from repro.ptx.counter import format_comparison
-from repro.transforms import add_independent, set_gang_worker, tile_in_kernel
+from repro.passes.library.distribute import set_gang_worker
+from repro.passes.library.independent import add_independent
+from repro.passes.library.tile import tile_in_kernel
 
 SOURCE = """
 #pragma acc kernels

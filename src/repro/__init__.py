@@ -5,7 +5,7 @@ The package implements the paper's entire tool-chain as a faithful
 simulation (see DESIGN.md):
 
 * :mod:`repro.frontend` — mini-C + OpenACC/HMPP pragma parser
-* :mod:`repro.ir` / :mod:`repro.analysis` / :mod:`repro.transforms` —
+* :mod:`repro.ir` / :mod:`repro.analysis` / :mod:`repro.passes` —
   loop-nest IR, dependence analysis, and the method's optimization passes
 * :mod:`repro.compilers` — CAPS 3.4.1 and PGI 14.9 compiler models (with
   their documented quirks) plus the hand-written OpenCL path

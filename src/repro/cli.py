@@ -23,9 +23,8 @@ Commands:
 * ``jit-stats``      — specialize a ``$hole`` template for given shapes;
   print shape classes, plans, and the cache trajectory (docs/JIT.md).
 * ``exec-sweep``     — run the execution-heavy GE/LUD/Hydro kernel sweep
-  through the process-pool executor (docs/EXECUTOR.md); ``--exec-jobs N``
-  forks N workers over shared-memory buffers, ``--cache-dir`` persists
-  compiled kernel plans so warm runs skip codegen entirely.
+  and print its result digest (docs/EXECUTOR.md); ``--cache-dir``
+  persists compiled kernel plans so warm runs skip codegen entirely.
 
 ``heatmap`` and ``autotune`` accept ``--ladder RUNGS`` to climb the
 registered optimization rungs (``fuse-reuse``, ``shared-tile``; see
@@ -151,7 +150,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
-    """Translate --faults/--retries/--hedge/--resume into CompileService
+    """Translate --faults/--retries/--resume into CompileService
     keyword arguments (docs/FAULTS.md).  Empty dict when none are set."""
     from .faults import parse_fault_spec
     from .service import CircuitBreaker, RetryPolicy, SweepJournal
@@ -169,9 +168,6 @@ def _resilience_from_args(args: argparse.Namespace) -> dict:
         retries = 3  # faults without --retries still get the default kit
     if retries:
         kwargs["retry"] = RetryPolicy(max_retries=retries)
-    hedge = getattr(args, "hedge", None)
-    if hedge is not None:
-        kwargs["hedge_after_s"] = hedge
     resume = getattr(args, "resume", None)
     if resume is not None:
         kwargs["journal"] = SweepJournal(resume)
@@ -552,8 +548,7 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     if args.size is not None:
         sizes = {"ge": args.size, "lud": args.size, "hydro": args.size}
     result = run_exec_sweep(
-        service=service, jobs=args.exec_jobs,
-        backend=args.exec_backend or "vector",
+        service=service, backend=args.exec_backend or "vector",
         sizes=sizes, repeats=args.repeats,
     )
     counters = {
@@ -565,7 +560,6 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
         "backend": result["backend"],
         "counters": counters,
         "digest": result["digest"],
-        "jobs": result["jobs"],
         "sizes": result["sizes"],
         "tasks": result["tasks"],
     }
@@ -619,11 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "exponential backoff (default: 3 with --faults, else 0)",
         )
         p.add_argument(
-            "--hedge", type=float, default=None, metavar="S",
-            help="duplicate a sweep point still unfinished after S seconds; "
-                 "first result wins (requires --jobs > 1 to matter)",
-        )
-        p.add_argument(
             "--resume", default=None, metavar="FILE",
             help="checkpoint completed sweep points to FILE (JSONL) and "
                  "skip points already journaled there — a killed sweep "
@@ -637,12 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="kernel executor backend: scalar interpreter, vectorizing "
                  "NumPy backend, or check (run both, assert bit-identical; "
                  "docs/EXECUTOR.md); default scalar",
-        )
-        p.add_argument(
-            "--exec-jobs", type=int, default=1, metavar="N",
-            help="execute kernels across N forked worker processes over "
-                 "shared-memory buffers; results are byte-identical to "
-                 "--exec-jobs 1 (docs/EXECUTOR.md)",
         )
 
     def add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -776,8 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "exec-sweep",
-        help="run the execution-heavy GE/LUD/Hydro kernel sweep through "
-             "the process-pool executor (docs/EXECUTOR.md)",
+        help="run the execution-heavy GE/LUD/Hydro kernel sweep and print "
+             "its result digest (docs/EXECUTOR.md)",
     )
     p.add_argument("--size", type=int, default=None, metavar="N",
                    help="problem size for every benchmark in the sweep "

@@ -179,8 +179,7 @@ class FaultPlan:
         """The injected failure (if any) for one compile attempt.
 
         Persistent faults are keyed on the fingerprint alone, so every
-        attempt — retry or hedge — replays them; transients re-draw per
-        attempt.
+        retry replays them; transients re-draw per attempt.
         """
         persistent = self.rule("persistent")
         if persistent is not None and _hash01(

@@ -3,7 +3,7 @@
 A benchmark bundles:
 
 * the OpenACC mini-C source (per optimization *stage* of the systematic
-  method — stages are produced by applying :mod:`repro.transforms` passes
+  method — stages are produced by applying :mod:`repro.passes.library` passes
   to the baseline, exactly like editing the source),
 * an optional hand-written OpenCL program,
 * input generators and a NumPy reference implementation,

@@ -13,8 +13,7 @@ Importing this package registers every pass (see
   :mod:`.opencl`.
 
 The transform *functions* (``unroll_in_kernel`` & co.) live in these
-modules too; ``repro.transforms.*`` re-exports them behind deprecation
-shims for old call sites.
+modules too.
 """
 
 from . import (  # noqa: F401  (import-time pass registration)

@@ -74,7 +74,7 @@ class ServerConfig:
     #: per-request result timeout at the connection handler (safety net;
     #: None waits forever)
     result_timeout_s: float | None = 120.0
-    #: extra CompileService kwargs (retry/breaker/hedge/fault_plan/...)
+    #: extra CompileService kwargs (retry/breaker/fault_plan/...)
     service_kwargs: dict[str, Any] = field(default_factory=dict)
 
 

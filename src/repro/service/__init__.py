@@ -35,7 +35,7 @@ from .fingerprint import (
     fingerprint_parts,
     fingerprint_request,
 )
-from .metrics import ServiceMetrics, percentile
+from .metrics import ServiceMetrics
 from .resilience import (
     DEFAULT_FALLBACKS,
     CircuitBreaker,
@@ -78,6 +78,5 @@ __all__ = [
     "fingerprint_parts",
     "fingerprint_request",
     "get_default_service",
-    "percentile",
     "reset_default_service",
 ]

@@ -118,8 +118,8 @@ class CacheStats:
     stores: int = 0
     disk_stores: int = 0
     #: ``put`` calls for a fingerprint that was already stored — e.g. a
-    #: timed-out worker's discarded result landing after a retry or a
-    #: hedge already published the artifact.  Skipped, never re-written.
+    #: timed-out worker's discarded result landing after a retry already
+    #: published the artifact.  Skipped, never re-written.
     redundant_stores: int = 0
 
     @property
@@ -238,8 +238,8 @@ class ArtifactCache:
         a counted no-op (``stats.redundant_stores``).  The compilers are
         content-addressed pure functions, so a repeat store can only be
         a *discarded duplicate* — a timed-out worker finishing after its
-        result was abandoned, or the losing side of a hedged pair — and
-        must not double-count stores or re-write the disk tier.
+        result was abandoned — and must not double-count stores or
+        re-write the disk tier.
         """
         with self._lock:
             if fingerprint in self._entries:

@@ -6,9 +6,6 @@ service layer; both layers meet at the
 :class:`repro.telemetry.Reportable` protocol (see
 :meth:`Profiler.attach_service`), which :class:`ServiceMetrics` and
 :class:`repro.service.scheduler.CompileService` satisfy.
-
-``percentile`` is re-exported from :mod:`repro.telemetry.registry` — the
-single shared implementation — for backward compatibility.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..telemetry.registry import MetricsRegistry, percentile
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = ["ServiceMetrics"]
 
 
 @dataclass
@@ -32,12 +29,10 @@ class ServiceMetrics:
     errors: int = 0
     timeouts: int = 0
     #: resilience counters (docs/FAULTS.md): injected faults seen at the
-    #: compiler/cache boundaries, retries spent healing them, hedged
-    #: duplicates (and how many beat the primary), breaker fallbacks.
+    #: compiler/cache boundaries, retries spent healing them, breaker
+    #: fallbacks.
     faults_injected: int = 0
     retries: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
     degraded: int = 0
     cache_io_errors: int = 0
     #: modeled wall-clock not spent recompiling: on every hit, the recorded
@@ -90,12 +85,6 @@ class ServiceMetrics:
         with self._lock:
             self.retries += 1
 
-    def record_hedge(self, won: bool = False) -> None:
-        with self._lock:
-            self.hedges += 1
-            if won:
-                self.hedge_wins += 1
-
     def record_degraded(self) -> None:
         with self._lock:
             self.degraded += 1
@@ -135,8 +124,6 @@ class ServiceMetrics:
                 "time_saved_s": self.time_saved_s,
                 "faults_injected": self.faults_injected,
                 "retries": self.retries,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
                 "degraded": self.degraded,
                 "cache_io_errors": self.cache_io_errors,
             }
@@ -162,8 +149,6 @@ class ServiceMetrics:
             faults = {
                 "faults.injected": self.faults_injected,
                 "faults.retries": self.retries,
-                "faults.hedges": self.hedges,
-                "faults.hedge_wins": self.hedge_wins,
                 "faults.degraded": self.degraded,
                 "faults.cache_io_errors": self.cache_io_errors,
             }
@@ -195,13 +180,11 @@ class ServiceMetrics:
                 f"~{snap['time_saved_s'] * 1e3:.3f} ms saved by caching"
             ),
         ]
-        if any(snap[k] for k in ("faults_injected", "retries", "hedges",
-                                 "degraded")):
+        if any(snap[k] for k in ("faults_injected", "retries", "degraded")):
             lines.append(
                 f"resilience: {snap['faults_injected']} faults injected "
                 f"({snap['cache_io_errors']} cache I/O), "
                 f"{snap['retries']} retries, "
-                f"{snap['hedges']} hedges ({snap['hedge_wins']} wins), "
                 f"{snap['degraded']} degraded fallbacks"
             )
         return lines

@@ -17,7 +17,7 @@ owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
-with four mechanisms, all off by default and all deterministic:
+with three mechanisms, all off by default and all deterministic:
 
 * **retry** (:class:`~repro.service.resilience.RetryPolicy`) —
   transient failures are re-attempted with exponential backoff and
@@ -30,9 +30,6 @@ with four mechanisms, all off by default and all deterministic:
   order*; once open, failed sweep points degrade to the route's
   fallback (CAPS/OpenCL -> CAPS/CUDA), marked ``degraded=True`` on the
   artifact — never silent;
-* **hedging** (``hedge_after_s``) — a sweep point still unfinished
-  after the hedge delay is duplicated inline; first result wins (the
-  compilers are pure, so either copy is byte-identical);
 * **checkpoint/resume**
   (:class:`~repro.service.resilience.SweepJournal`) — completed sweep
   points append to a JSONL journal; a resumed sweep skips journaled
@@ -81,11 +78,6 @@ from .resilience import (
     SweepJournal,
     SystemClock,
 )
-
-#: hedge attempts draw faults from a disjoint attempt range, so a hedge
-#: is a genuinely independent replica (it does not replay the straggling
-#: primary's injected fault)
-_HEDGE_ATTEMPT_BASE = 1 << 20
 
 
 class JobError(Exception):
@@ -147,7 +139,6 @@ class CompileService:
         compile_fn: Callable[[CompileRequest], Any] | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge_after_s: float | None = None,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
         journal: SweepJournal | None = None,
@@ -158,7 +149,6 @@ class CompileService:
         self.timeout_s = timeout_s
         self.retry = retry
         self.breaker = breaker
-        self.hedge_after_s = hedge_after_s
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
         self.journal = journal
@@ -191,10 +181,6 @@ class CompileService:
         )
 
     def compile_request(self, request: CompileRequest) -> Any:
-        return self._compile_request(request, attempt_base=0)
-
-    def _compile_request(self, request: CompileRequest,
-                         attempt_base: int = 0) -> Any:
         fingerprint = request.fingerprint
         self.metrics.record_request()
         tracer = get_tracer()
@@ -217,7 +203,7 @@ class CompileService:
                 start = time.perf_counter()
                 try:
                     artifact, penalty_s = self._invoke_compile(
-                        request, attempt_base + attempt
+                        request, attempt
                     )
                 except Exception as exc:
                     seconds = time.perf_counter() - start
@@ -593,14 +579,6 @@ class CompileService:
 
     def _gather(self, request: CompileRequest, future: Future,
                 strict: bool) -> Any:
-        if self.hedge_after_s is not None and self.jobs > 1:
-            try:
-                return future.result(timeout=self.hedge_after_s)
-            except FutureTimeoutError:
-                hedged = self._hedge(request, future)
-                if hedged is not _NO_HEDGE:
-                    return hedged
-            # the hedge failed too: fall through and wait for the primary
         try:
             return future.result(timeout=self.timeout_s)
         except FutureTimeoutError:
@@ -612,32 +590,6 @@ class CompileService:
                 f"compile exceeded {self.timeout_s:g}s",
                 self.timeout_s or 0.0,
             ) from None
-
-    def _hedge(self, request: CompileRequest, future: Future) -> Any:
-        """Duplicate a straggler inline; first finisher wins.  The
-        compilers are pure, so both copies are byte-identical — hedging
-        only changes *when* the result lands, never what it is."""
-        tracer = get_tracer()
-        with tracer.span(
-            "service.hedge", category="service",
-            label=request.label or request.module.name,
-        ) as span:
-            try:
-                result = self._compile_request(
-                    request, attempt_base=_HEDGE_ATTEMPT_BASE
-                )
-            except Exception:
-                span.set(status="hedge-failed")
-                self.metrics.record_hedge(won=False)
-                return _NO_HEDGE
-            won = not future.done()
-            span.set(status="won" if won else "lost")
-            self.metrics.record_hedge(won=won)
-            return result
-
-
-#: sentinel: the hedge attempt failed; wait for the primary instead
-_NO_HEDGE = object()
 
 
 # -- process-wide default service ---------------------------------------------
@@ -665,7 +617,6 @@ def configure_default_service(
     timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
     breaker: CircuitBreaker | None = None,
-    hedge_after_s: float | None = None,
     fault_plan: FaultPlan | None = None,
     journal: SweepJournal | None = None,
 ) -> CompileService:
@@ -679,7 +630,6 @@ def configure_default_service(
             timeout_s=timeout_s,
             retry=retry,
             breaker=breaker,
-            hedge_after_s=hedge_after_s,
             fault_plan=fault_plan,
             journal=journal,
         )

@@ -1,6 +1,6 @@
 """Regression: loop fusion must consult the dependence analysis.
 
-``repro.transforms.reorganize._fusable`` used to check *structural*
+``repro.passes.library.reorganize._fusable`` used to check *structural*
 header compatibility only.  Two adjacent loops with identical headers
 would be merged even when the second loop read elements the first had
 not yet produced in the fused order — a value-changing "optimization".

@@ -196,23 +196,32 @@ class TestExecSweep:
         configure_plan_cache(None)
         reset_registry()
 
-    def test_digest_stable_across_exec_jobs(self, capsys):
+    def test_digest_stable_across_runs(self, capsys):
         import json
 
         from repro.runtime.executor import clear_kernel_cache
         from repro.telemetry import reset_registry
 
-        digests = []
-        for jobs in ("1", "2"):
+        payloads = []
+        for _ in range(2):
             clear_kernel_cache()
             reset_registry()
-            assert main(["exec-sweep", "--size", "48",
-                         "--exec-jobs", jobs]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            digests.append(payload["digest"])
-            assert payload["jobs"] == int(jobs)
-            assert payload["counters"]["executor.pool_tasks"] == 6
-        assert digests[0] == digests[1]
+            assert main(["exec-sweep", "--size", "48"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0]["digest"] == payloads[1]["digest"]
+        assert payloads[0]["counters"] == payloads[1]["counters"]
+        assert len(payloads[0]["tasks"]) == 6
+        assert "jobs" not in payloads[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["exec-sweep", "--exec-jobs", "2"],
+        ["heatmap", "--hedge", "0.1"],
+    ])
+    def test_removed_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cache_dir_persists_plans(self, tmp_path, capsys):
         import json

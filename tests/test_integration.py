@@ -13,7 +13,9 @@ from repro import (
 )
 from repro.core import ppr, run_stage
 from repro.ptx.counter import InstructionProfile
-from repro.transforms import add_independent, set_gang_worker, unroll_in_kernel
+from repro.passes.library.distribute import set_gang_worker
+from repro.passes.library.independent import add_independent
+from repro.passes.library.unroll import unroll_in_kernel
 
 JACOBI = """
 #pragma acc kernels

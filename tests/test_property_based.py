@@ -21,7 +21,8 @@ from repro.frontend import parse_expr, parse_kernel
 from repro.ir import format_expr, print_kernel
 from repro.perf.model import LaunchConfig, WorkProfile, estimate_time
 from repro.runtime.executor import ExecMode, LoopSemantics, execute_kernel
-from repro.transforms import tile_in_kernel, unroll_in_kernel
+from repro.passes.library.tile import tile_in_kernel
+from repro.passes.library.unroll import unroll_in_kernel
 
 # --------------------------------------------------------------------------
 # generated mini-C expressions over a fixed symbol universe

@@ -232,36 +232,6 @@ class TestCircuitBreaker:
         assert service.metrics.degraded == 0
 
 
-class TestHedging:
-    def test_hedge_duplicates_straggler(self, module):
-        import time as _time
-
-        def slow_compile(request):
-            _time.sleep(0.2)
-            from repro.core.method import compile_stage
-
-            return compile_stage(request.module, request.compiler,
-                                 request.target, request.flags)
-
-        service = CompileService(compile_fn=slow_compile, jobs=2,
-                                 hedge_after_s=0.01)
-        try:
-            results = service.sweep(sweep_requests(1))
-        finally:
-            service.close()
-        assert not isinstance(results[0], JobError)
-        assert service.metrics.hedges == 1
-        # identical artifacts either way, so winning is timing, not
-        # correctness; the counter just has to be consistent
-        assert service.metrics.hedge_wins in (0, 1)
-
-    def test_hedge_disabled_serially(self, module):
-        service = CompileService(jobs=1, hedge_after_s=0.0)
-        results = service.sweep(sweep_requests(2))
-        assert service.metrics.hedges == 0
-        assert all(not isinstance(r, JobError) for r in results)
-
-
 class TestTimeoutDiscard:
     def test_discarded_result_is_idempotent(self):
         """Regression: a timed-out worker finishes later and stores its

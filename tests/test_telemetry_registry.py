@@ -6,9 +6,9 @@ import pytest
 
 from repro.frontend import parse_module
 from repro.runtime.profiler import Profiler
+import repro.service
 from repro.service import CompileService
 from repro.service import metrics as service_metrics
-from repro.telemetry import registry as telemetry_registry
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -65,12 +65,11 @@ class TestInstruments:
 
 class TestPercentileDedup:
     def test_single_implementation(self):
-        """Satellite: percentile() lives in telemetry; service.metrics
-        re-exports the same object."""
-        assert service_metrics.percentile is telemetry_registry.percentile
-
-    def test_reexport_in_service_all(self):
-        assert "percentile" in service_metrics.__all__
+        """percentile() is public only in repro.telemetry.registry; the
+        service layer imports it but does not re-export it."""
+        assert "percentile" not in service_metrics.__all__
+        assert "percentile" not in repro.service.__all__
+        assert not hasattr(repro.service, "percentile")
 
     def test_values(self):
         assert percentile([], 0.5) == 0.0

@@ -6,23 +6,21 @@ import pytest
 from repro.frontend import parse_kernel
 from repro.ir import AccLoop, HmppBlocksize, loop_nest_depth
 from repro.runtime.executor import execute_kernel
-from repro.transforms import (
+from repro.passes.library.distribute import (
     DistributionError,
-    ReductionError,
-    TileError,
-    UnrollError,
-    add_independent,
-    add_reduction,
     clear_distribution,
-    fuse_adjacent_loops,
-    fuse_kernels,
-    is_independent,
     set_gang_worker,
     set_gridify_blocksize,
-    split_loop,
-    tile_in_kernel,
-    unroll_in_kernel,
 )
+from repro.passes.library.independent import add_independent, is_independent
+from repro.passes.library.reduction import ReductionError, add_reduction
+from repro.passes.library.reorganize import (
+    fuse_adjacent_loops,
+    fuse_kernels,
+    split_loop,
+)
+from repro.passes.library.tile import TileError, tile_in_kernel
+from repro.passes.library.unroll import UnrollError, unroll_in_kernel
 
 STREAM = """
 void stream(float *a, const float *b, int n) {

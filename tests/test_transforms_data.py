@@ -5,7 +5,7 @@ import pytest
 from repro.compilers import CapsCompiler
 from repro.frontend import parse_kernel, parse_module
 from repro.ir import AccData
-from repro.transforms import (
+from repro.passes.library.data import (
     DataRegionError,
     add_data_region,
     add_data_regions,
