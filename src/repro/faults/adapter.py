@@ -57,9 +57,9 @@ class FaultyCompilerAdapter:
 
 
 class FaultyCacheAdapter:
-    """An :class:`ArtifactCache` proxy whose ``get``/``put`` flake per
-    the plan; everything else (``stats``, ``clear``, ``__len__``, …)
-    delegates to the wrapped cache."""
+    """An :class:`ArtifactCache` proxy whose ``get``/``peek``/``put``
+    flake per the plan; everything else (``stats``, ``clear``,
+    ``__len__``, …) delegates to the wrapped cache."""
 
     def __init__(self, cache: Any, plan: FaultPlan) -> None:
         self._inner = cache
@@ -70,6 +70,12 @@ class FaultyCacheAdapter:
         if fault is not None:
             raise fault
         return self._inner.get(fingerprint)
+
+    def peek(self, fingerprint: str) -> Any:
+        fault = self.plan.cache_fault("read", fingerprint)
+        if fault is not None:
+            raise fault
+        return self._inner.peek(fingerprint)
 
     def put(self, fingerprint: str, artifact: Any) -> None:
         fault = self.plan.cache_fault("write", fingerprint)

@@ -168,14 +168,17 @@ class CPrinter:
                 params.append(f"{p.type.dtype.c_name} {p.name}")
         self._emit(f"void {kernel.name}({', '.join(params)}) {{")
         self._level += 1
-        # declare loop indices used but not declared / not parameters
+        # declare loop indices used but not declared / not parameters, one
+        # per line: the parser splits `int a, b;` into one Decl per name,
+        # which re-prints as one line each, so this keeps print∘parse a
+        # fixpoint
         declared = {p.name for p in kernel.params}
         declared |= {s.name for s in kernel.body.walk() if isinstance(s, Decl)}
         index_vars = sorted(
             {s.var for s in kernel.body.walk() if isinstance(s, For)} - declared
         )
-        if index_vars:
-            self._emit(f"int {', '.join(index_vars)};")
+        for var in index_vars:
+            self._emit(f"int {var};")
         self.print_stmt(kernel.body)
         self._level -= 1
         self._emit("}")

@@ -6,15 +6,20 @@ ROADMAP item 1 asks for the service layer to stop being per-process.
 This package is that server boundary: one long-lived daemon, many
 concurrent clients, one shared verified compile pipeline:
 
-* :mod:`.protocol` — newline-delimited JSON frames over TCP; modules
-  travel as their canonical mini-C print (fingerprint-stable round
-  trip), artifacts as pickles; 429-style structured refusals;
+* :mod:`.protocol` — newline-delimited JSON frames over TCP; compile
+  points are keyed by fingerprint, and modules travel as their
+  canonical mini-C print (fingerprint-stable round trip) only when the
+  daemon answered ``miss``; artifacts travel as pickles; 429-style
+  structured refusals;
 * :mod:`.daemon` — :class:`ReproServer`: threaded TCP server exposing
   ``compile`` / ``sweep`` / ``status`` / ``stats`` / ``shutdown`` over
   one :class:`~repro.service.scheduler.CompileService` with a
-  hash-prefix-sharded artifact store;
+  hash-prefix-sharded artifact store; a stored fingerprint is answered
+  on the connection thread (no parse, no batch window, no deep copy),
+  and a claimed fingerprint is only a lookup key — source that does
+  not hash to it is refused;
 * :mod:`.batcher` — cross-client request coalescing (N identical
-  in-flight requests, one compile) and micro-batching into scheduler
+  in-flight misses, one compile) and micro-batching into scheduler
   sweeps;
 * :mod:`.quotas` — admission control: bounded queue depth, per-client
   token buckets, graceful drain (429 busy / 503 draining — reject,
@@ -26,8 +31,9 @@ concurrent clients, one shared verified compile pipeline:
 
 Determinism contract: a sweep through the daemon is **byte-identical**
 to the in-process path — the wire form is the canonical print the
-fingerprint is computed over, and the compilers are pure functions of
-the fingerprint.  See docs/SERVER.md.
+fingerprint is computed over, print → parse → print is a fixpoint, and
+the compilers are pure functions of the fingerprint.  See
+docs/SERVER.md.
 """
 
 from .batcher import BatchTicket, CoalescingBatcher

@@ -4,7 +4,9 @@
 one TCP connection — open one per worker thread (connections are cheap;
 the daemon is built for many).  It speaks :mod:`.protocol` frames and
 gives back the same Python objects the in-process
-:class:`~repro.service.scheduler.CompileService` would return:
+:class:`~repro.service.scheduler.CompileService` would return (asking
+by fingerprint first, and sending source only for the points the
+daemon does not have):
 ``compile_module`` returns the artifact (or raises the replayed compiler
 error), ``sweep`` returns artifact-or-:class:`JobError` slots in request
 order.  An admission refusal raises
@@ -24,6 +26,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
 from ..service.fingerprint import CompileRequest
+from ..service.scheduler import JobError
 from ..telemetry.spans import get_tracer
 from . import protocol
 from .daemon import ReproServer, ServerConfig
@@ -98,10 +101,7 @@ class ServerClient:
         """One compile through the daemon; same contract as
         :meth:`CompileService.compile_request` (raises the replayed
         compiler error on a deterministic refusal)."""
-        response = self._call("compile", point=protocol.point_to_wire(request))
-        result = protocol.slot_from_wire(response["result"])
-        from ..service.scheduler import JobError
-
+        (result,) = self._results("compile", [request])
         if isinstance(result, JobError):
             raise result
         return result
@@ -120,10 +120,33 @@ class ServerClient:
         """A fault-tolerant batch, same contract as
         :meth:`CompileService.sweep`: one slot per request, in request
         order, each an artifact or a :class:`JobError`."""
-        response = self._call(
-            "sweep", points=[protocol.point_to_wire(r) for r in requests]
-        )
-        return [protocol.slot_from_wire(slot) for slot in response["results"]]
+        return self._results("sweep", requests)
+
+    def _results(self, op: str, requests: Sequence[CompileRequest]
+                 ) -> list[Any]:
+        """One result per request, in request order, fingerprint-first:
+        the points go out without source, and only those the daemon
+        answers ``miss`` are resent with it."""
+        with get_tracer().span("server.client", category="server",
+                               label=self.client_id, op=op,
+                               points=len(requests)) as span:
+            slots = self._send(op, [protocol.point_to_wire(r, source=False)
+                                    for r in requests])
+            missed = [i for i, slot in enumerate(slots)
+                      if slot.get("status") == "miss"]
+            if missed:
+                span.set(resent=len(missed))
+                resent = self._send(op, [protocol.point_to_wire(requests[i])
+                                         for i in missed])
+                for index, slot in zip(missed, resent):
+                    slots[index] = slot
+            return [protocol.slot_from_wire(slot) for slot in slots]
+
+    def _send(self, op: str, points: list[dict[str, Any]]
+              ) -> list[dict[str, Any]]:
+        if op == "compile":
+            return [self._call(op, point=points[0])["result"]]
+        return self._call(op, points=points)["results"]
 
 
 @contextmanager

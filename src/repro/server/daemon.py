@@ -4,7 +4,7 @@
 One :class:`ReproServer` owns the whole server stack:
 
 * a shared :class:`~repro.service.scheduler.CompileService` (worker
-  pool, retries/breaker/hedging when configured, fault injection via
+  pool, retries/breaker when configured, fault injection via
   ``--faults`` — the server path is inside the same resilience envelope
   as the library path);
 * a :class:`~repro.service.cache.ShardedArtifactCache` disk tier
@@ -20,12 +20,21 @@ newline-delimited JSON frames (see :mod:`.protocol`).  A malformed frame
 answers 400 *on the same connection* and the connection stays up; an
 admission refusal answers 429/503 without queueing anything.
 
-Telemetry: every request runs inside a ``server.request`` span tagged
-``client=<id>`` and ``lane=client:<id>`` — the Chrome/Perfetto export
-groups ``lane``-tagged spans into one synthetic timeline lane per
-client, so a daemon trace reads as per-client swimlanes no matter which
-connection threads served them.  Counters publish as ``server.*``
-gauges next to the existing ``service.*`` / ``cache.*`` families.
+``compile`` and ``sweep`` are fingerprint-first: a point whose
+fingerprint is stored is answered on the connection thread by
+:meth:`CompileService.lookup` — no parse, no batch window, no pool hop.
+Only the remaining points that carry source are parsed and go through
+the batcher; the rest are answered ``miss`` so the client sends their
+source.
+
+Telemetry: every frame is handled inside a ``server.request`` span
+(decode included; a malformed frame's span says ``status=bad-request``)
+tagged ``client=<id>``, ``lane=client:<id>`` and ``cache=hit|miss`` —
+the Chrome/Perfetto export groups ``lane``-tagged spans into one
+synthetic timeline lane per client, so a daemon trace reads as
+per-client swimlanes no matter which connection threads served them.
+Counters publish as ``server.*`` gauges next to the existing
+``service.*`` / ``cache.*`` families.
 
 Shutdown is graceful by contract: ``drain()`` flips admission to
 503-everything-new, waits for admitted work to finish, flushes the
@@ -41,13 +50,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..service.cache import ShardedArtifactCache
+from ..service.cache import MISS, ShardedArtifactCache
 from ..service.scheduler import CompileService
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import get_tracer
 from . import protocol
 from .batcher import CoalescingBatcher
-from .quotas import AdmissionController
+from .quotas import Admission, AdmissionController
 
 __all__ = ["ServerConfig", "ReproServer"]
 
@@ -207,20 +216,19 @@ class ReproServer:
     def handle_frame(self, line: bytes) -> dict[str, Any]:
         """Decode, admit, dispatch one frame; always returns a response
         frame (protocol errors included — the connection survives)."""
-        try:
-            message = protocol.decode_frame(line)
-            op, client = protocol.validate_request(message)
-        except protocol.ProtocolError as exc:
-            self.protocol_errors += 1
-            return protocol.error_response(None, protocol.BAD_REQUEST,
-                                           "bad-request", str(exc))
-        request_id = message.get("id")
-        self.requests_total += 1
-        tracer = get_tracer()
-        with tracer.span(
-            "server.request", category="server",
-            label=client, client=client, lane=f"client:{client}", op=op,
-        ) as span:
+        with get_tracer().span("server.request", category="server") as span:
+            try:
+                message = protocol.decode_frame(line)
+                op, client = protocol.validate_request(message)
+            except protocol.ProtocolError as exc:
+                self.protocol_errors += 1
+                span.set(status="bad-request")
+                return protocol.error_response(None, protocol.BAD_REQUEST,
+                                               "bad-request", str(exc))
+            span.set(label=client, client=client, lane=f"client:{client}",
+                     op=op)
+            request_id = message.get("id")
+            self.requests_total += 1
             try:
                 if op == "hello":
                     return protocol.ok_response(request_id, **self._hello())
@@ -261,22 +269,14 @@ class ReproServer:
 
     def _handle_compile(self, request_id: Any, client: str,
                         message: dict[str, Any], span: Any) -> dict[str, Any]:
-        request = protocol.point_from_wire(message.get("point"))
-        admission = self.admission.admit(client, 1)
-        if not admission.allowed:
-            span.set(status=f"rejected-{admission.reason}")
-            return self._refusal(request_id, admission)
-        try:
-            ticket = self.batcher.submit(request)
-            result = ticket.wait(self.config.result_timeout_s)
-        finally:
-            self.admission.release(1)
-        slot = protocol.slot_to_wire(result)
-        span.set(status=slot["status"],
-                 fingerprint=request.fingerprint[:12])
+        answer = self._answer(client, [message.get("point")], span)
+        if isinstance(answer, Admission):
+            return self._refusal(request_id, answer)
+        (fingerprint,), (slot,) = answer
+        span.set(status=slot["status"], fingerprint=fingerprint[:12])
         return protocol.ok_response(
             request_id,
-            fingerprint=request.fingerprint,
+            fingerprint=fingerprint,
             result=slot,
         )
 
@@ -285,20 +285,68 @@ class ReproServer:
         points = message.get("points")
         if not isinstance(points, list) or not points:
             raise protocol.ProtocolError("'points' must be a non-empty list")
-        requests = [protocol.point_from_wire(p) for p in points]
-        admission = self.admission.admit(client, len(requests))
-        if not admission.allowed:
-            span.set(status=f"rejected-{admission.reason}")
-            return self._refusal(request_id, admission)
-        try:
-            tickets = self.batcher.submit_many(requests)
-            results = [t.wait(self.config.result_timeout_s) for t in tickets]
-        finally:
-            self.admission.release(len(requests))
-        slots = [protocol.slot_to_wire(r) for r in results]
-        errors = sum(1 for s in slots if s["status"] != "ok")
+        answer = self._answer(client, points, span)
+        if isinstance(answer, Admission):
+            return self._refusal(request_id, answer)
+        _fingerprints, slots = answer
+        errors = sum(1 for s in slots if s["status"] == "error")
         span.set(points=len(slots), errors=errors, status="done")
         return protocol.ok_response(request_id, results=slots)
+
+    def _answer(self, client: str, points: list[Any], span: Any
+                ) -> tuple[list[str], list[dict[str, Any]]] | Admission:
+        """``(fingerprints, slots)`` for *points*, fingerprint-first.
+
+        Every claimed fingerprint is validated before any store access
+        (a malformed one raises :class:`~.protocol.ProtocolError`: 400)
+        and then read from the store: a hit is answered right here, with
+        no parse, no batcher ticket and no pool hop.  Only points that
+        carry source are parsed (their source must hash to the claimed
+        fingerprint — a claim is only ever a lookup key); they go through
+        the batcher as one scheduler sweep.  A point with neither a hit
+        nor source gets the ``miss`` slot.  Admission charges the points
+        answered here — hits and compiles, never misses — or the refusal
+        is returned instead.
+        """
+        claims = [protocol.claimed_fingerprint(p) for p in points]
+        slots: list[dict[str, Any] | None] = [None] * len(points)
+        for index, (point, claimed) in enumerate(zip(points, claims)):
+            if claimed is None:
+                continue
+            hit = self.service.lookup(claimed, protocol.point_label(point))
+            if isinstance(hit, bytes):
+                slots[index] = protocol.pickled_slot(hit)
+            elif hit is not MISS:
+                slots[index] = protocol.slot_to_wire(hit)
+        hits = sum(slot is not None for slot in slots)
+        span.set(cache="hit" if hits == len(points) else "miss")
+        requests = {
+            index: protocol.point_from_wire(point)
+            for index, point in enumerate(points)
+            if slots[index] is None and "source" in point
+        }
+        fingerprints = [
+            claimed or requests[index].fingerprint
+            for index, claimed in enumerate(claims)
+        ]
+        answered = hits + len(requests)
+        if answered:
+            admission = self.admission.admit(client, answered)
+            if not admission.allowed:
+                span.set(status=f"rejected-{admission.reason}")
+                return admission
+            try:
+                tickets = self.batcher.submit_many(list(requests.values()))
+                results = [t.wait(self.config.result_timeout_s)
+                           for t in tickets]
+            finally:
+                self.admission.release(answered)
+            for index, result in zip(requests, results):
+                slots[index] = protocol.slot_to_wire(result)
+        return fingerprints, [
+            slot if slot is not None else dict(protocol.MISS_SLOT)
+            for slot in slots
+        ]
 
     def _refusal(self, request_id: Any, admission) -> dict[str, Any]:
         code = (protocol.DRAINING if admission.reason == "draining"

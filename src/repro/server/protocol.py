@@ -14,10 +14,20 @@ HTTP where HTTP has the right word for it: 400 for a malformed frame,
 full or quota exhausted — the explicit-rejection contract of
 docs/SERVER.md), 503 while draining, 500 for a server bug.
 
-Modules travel as their canonical mini-C rendering
-(:func:`repro.ir.printer.print_module`) and are re-parsed server-side;
-the round trip is print-stable, so the server-side fingerprint equals
-the client-side one and the determinism contract holds across the wire.
+Compile points are **fingerprint-first**: every point carries its
+``fingerprint`` (the content address of the request), and the daemon
+answers a stored fingerprint straight from its store.  The module's
+canonical mini-C rendering (:func:`repro.ir.printer.print_module`) goes
+along as ``source`` only when the daemon asked for it: a point without
+source whose fingerprint is not stored comes back as the slot
+``{"status": "miss"}`` ("send the source"), and the client resends just
+those points with source.  Source is re-parsed server-side, and
+print → parse → print is a fixpoint of the printer, so the server
+recomputes the client's fingerprint exactly; a point whose source does
+not hash to its claimed fingerprint is refused (400), so a claimed
+fingerprint is only ever a lookup key.  A point with source and no
+fingerprint (the original v1 form) still compiles.
+
 Artifacts travel as base64-encoded pickles (the same serialization the
 disk cache tier already trusts — the daemon is an *intra-trust-domain*
 service; see the deployment notes in docs/SERVER.md).
@@ -28,7 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-from dataclasses import dataclass
+import re
 from typing import Any
 
 from ..compilers.flags import FlagSet
@@ -36,6 +46,7 @@ from ..devices import device_by_name
 from ..frontend import parse_module
 from ..ir.printer import print_module
 from ..service.fingerprint import CompileRequest
+from ..service.scheduler import JobError
 
 PROTOCOL = "repro-server-v1"
 
@@ -143,19 +154,6 @@ def raise_for_error(response: dict[str, Any]) -> dict[str, Any]:
 
 # -- compile points on the wire ------------------------------------------------
 
-@dataclass(frozen=True)
-class WirePoint:
-    """One compile point as it crosses the wire (pre-parse form)."""
-
-    source: str
-    name: str
-    compiler: str
-    target: str
-    flags: dict[str, Any] | None = None
-    device: str | None = None
-    label: str = ""
-
-
 def flags_to_wire(flags: FlagSet | None) -> dict[str, Any] | None:
     if flags is None:
         return None
@@ -182,13 +180,25 @@ def flags_from_wire(payload: dict[str, Any] | None) -> FlagSet | None:
     )
 
 
-def point_to_wire(request: CompileRequest) -> dict[str, Any]:
-    """A :class:`CompileRequest` as a JSON-safe dict.  The module goes
-    out as its canonical print — the exact text the fingerprint is
-    computed over, so re-parsing it server-side reproduces the
-    fingerprint bit for bit."""
-    return {
-        "source": print_module(request.module),
+#: a fingerprint is a SHA-256 hex digest.  Nothing else is accepted: a
+#: claimed fingerprint selects a store shard and names a file under the
+#: cache directory, so it must never reach either unchecked.
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
+#: the slot of a point sent without source whose fingerprint is not
+#: stored: "send the source", not an error
+MISS_SLOT = {"status": "miss"}
+
+
+def point_to_wire(request: CompileRequest,
+                  source: bool = True) -> dict[str, Any]:
+    """A :class:`CompileRequest` as a JSON-safe dict, keyed by its
+    fingerprint.  With *source*, the module goes out as its canonical
+    print — the exact text the fingerprint is computed over, so
+    re-parsing it server-side reproduces the fingerprint bit for bit;
+    without, the point is a lookup the daemon may answer ``miss``."""
+    point = {
+        "fingerprint": request.fingerprint,
         "name": request.module.name,
         "compiler": request.compiler,
         "target": request.target,
@@ -196,15 +206,44 @@ def point_to_wire(request: CompileRequest) -> dict[str, Any]:
         "device": request.device.name if request.device is not None else None,
         "label": request.label,
     }
+    if source:
+        point["source"] = print_module(request.module)
+    return point
+
+
+def claimed_fingerprint(payload: Any) -> str | None:
+    """The fingerprint a wire point claims (``None`` for a v1 point that
+    carries only source).  Raises :class:`ProtocolError` on a malformed
+    point, and on any fingerprint that is not exactly 64 lowercase hex
+    characters — before it can touch the store."""
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"compile point must be an object, "
+                            f"got {type(payload).__name__}")
+    claimed = payload.get("fingerprint")
+    if claimed is None:
+        if "source" not in payload:
+            raise ProtocolError("compile point needs a 'fingerprint' or "
+                                "a 'source'")
+        return None
+    if not isinstance(claimed, str) or not _FINGERPRINT.fullmatch(claimed):
+        raise ProtocolError("'fingerprint' must be 64 lowercase hex "
+                            "characters")
+    return claimed
+
+
+def point_label(payload: dict[str, Any]) -> str:
+    """The label a slot for this point reports (the request's label, or
+    its module name) — what :meth:`CompileService.sweep` puts in a
+    :class:`JobError`."""
+    return str(payload.get("label") or payload.get("name") or "module")
 
 
 def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
     """Rebuild a :class:`CompileRequest` from its wire form (parses the
     canonical source).  Raises :class:`ProtocolError` on a malformed
-    payload — including source that does not parse."""
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"compile point must be an object, "
-                            f"got {type(payload).__name__}")
+    payload — including source that does not parse, and source that
+    does not hash to the point's claimed fingerprint."""
+    claimed = claimed_fingerprint(payload)
     for key in ("source", "compiler", "target"):
         if not isinstance(payload.get(key), str) or not payload[key]:
             raise ProtocolError(f"compile point needs a non-empty {key!r}")
@@ -222,7 +261,7 @@ def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
         except Exception as exc:
             raise ProtocolError(f"unknown device {payload['device']!r}: "
                                 f"{exc}") from None
-    return CompileRequest(
+    request = CompileRequest(
         module,
         payload["compiler"],
         payload["target"],
@@ -230,6 +269,12 @@ def point_from_wire(payload: dict[str, Any]) -> CompileRequest:
         device,
         str(payload.get("label", "")),
     )
+    if claimed is not None and request.fingerprint != claimed:
+        raise ProtocolError(
+            f"source fingerprints to {request.fingerprint[:12]}, not the "
+            f"claimed {claimed[:12]}"
+        )
+    return request
 
 
 # -- artifacts on the wire -----------------------------------------------------
@@ -239,6 +284,13 @@ def pack_artifact(artifact: Any) -> str:
     return base64.b64encode(
         pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
     ).decode("ascii")
+
+
+def pickled_slot(pickled: bytes) -> dict[str, Any]:
+    """The ``ok`` slot of an artifact that is already pickled (the
+    daemon's hit path pickles the stored entry itself)."""
+    return {"status": "ok",
+            "artifact": base64.b64encode(pickled).decode("ascii")}
 
 
 def unpack_artifact(packed: str) -> Any:
@@ -251,8 +303,6 @@ def unpack_artifact(packed: str) -> Any:
 
 def slot_to_wire(result: Any) -> dict[str, Any]:
     """One sweep slot (artifact or JobError) as a wire dict."""
-    from ..service.scheduler import JobError
-
     if isinstance(result, JobError):
         return {
             "status": "error",
@@ -268,8 +318,6 @@ def slot_to_wire(result: Any) -> dict[str, Any]:
 def slot_from_wire(payload: dict[str, Any]) -> Any:
     """Rebuild a sweep slot: the artifact, or a :class:`JobError` with
     its structured fields — byte-compatible with the in-process path."""
-    from ..service.scheduler import JobError
-
     if not isinstance(payload, dict) or "status" not in payload:
         raise ProtocolError(f"bad sweep slot: {payload!r}")
     if payload["status"] == "error":

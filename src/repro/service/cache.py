@@ -8,9 +8,11 @@ path of the Fig. 4 heat maps and the auto-tuner.
 The cache must be an *invisible* optimization: ``get`` and ``put`` both
 deep-copy, so no two callers ever alias the same artifact object, and a
 cache hit is observationally identical to a fresh compile (byte-identical
-PTX, identical instruction counters).  Failures are cacheable too — the
-compiler models are deterministic, so a module PGI rejects today it will
-reject tomorrow; the scheduler stores a marker and replays the error.
+PTX, identical instruction counters).  ``peek`` hands out the stored
+entry itself, for callers that only serialize it.  Failures are
+cacheable too — the compiler models are deterministic, so a module PGI
+rejects today it will reject tomorrow; the scheduler stores a marker
+and replays the error.
 
 All operations are thread-safe (the scheduler's worker pool and the
 ``repro serve`` daemon's connection handlers share one cache).  The lock
@@ -192,11 +194,27 @@ class ArtifactCache:
 
     def get(self, fingerprint: str) -> Any:
         """The artifact stored under *fingerprint*, or :data:`MISS`."""
+        artifact = self.peek(fingerprint)
+        if artifact is MISS:
+            with self._lock:
+                self.stats.misses += 1
+            return MISS
+        return self._out(artifact)
+
+    def peek(self, fingerprint: str) -> Any:
+        """The stored entry itself, *uncopied*, or :data:`MISS`.
+
+        For a caller that only serializes the entry (the daemon pickles
+        it onto the wire, and pickling is the copy) — it must never
+        mutate it.  A hit counts like :meth:`get`; a miss is not counted,
+        because the caller's fallback (a compile through :meth:`get`)
+        counts it.
+        """
         with self._lock:
             if fingerprint in self._entries:
                 self._entries.move_to_end(fingerprint)
                 self.stats.memory_hits += 1
-                return self._out(self._entries[fingerprint])
+                return self._entries[fingerprint]
         # the slow tiers run unlocked: unpickling a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
         artifact = self._disk_load(fingerprint)
@@ -204,17 +222,14 @@ class ArtifactCache:
             with self._lock:
                 self.stats.disk_hits += 1
                 self._install(fingerprint, artifact)
-                return self._out(artifact)
+            return artifact
         artifact = self._peer_load(fingerprint)
         if artifact is not MISS:
             self._disk_store(fingerprint, artifact, count=False)  # copy through
             with self._lock:
                 self.stats.peer_hits += 1
                 self._install(fingerprint, artifact)
-                return self._out(artifact)
-        with self._lock:
-            self.stats.misses += 1
-        return MISS
+        return artifact
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
@@ -385,6 +400,9 @@ class ShardedArtifactCache:
 
     def get(self, fingerprint: str) -> Any:
         return self.shard_for(fingerprint).get(fingerprint)
+
+    def peek(self, fingerprint: str) -> Any:
+        return self.shard_for(fingerprint).peek(fingerprint)
 
     def put(self, fingerprint: str, artifact: Any) -> None:
         self.shard_for(fingerprint).put(fingerprint, artifact)

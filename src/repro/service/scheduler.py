@@ -14,6 +14,8 @@ owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
 * :meth:`sweep` — fault-tolerant batch for parameter sweeps: a failed
   point yields a structured :class:`JobError` in its slot and the rest
   of the sweep completes.
+* :meth:`lookup` — the daemon's hit read: a stored fingerprint's entry
+  as pickle bytes, with no request, no pool hop and no deep copy.
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
@@ -54,6 +56,7 @@ disk tier.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -248,11 +251,42 @@ class CompileService:
             return self._adapter.compile(request, attempt)
         return self._compile_fn(request), 0.0
 
+    def lookup(self, fingerprint: str, label: str = "") -> Any:
+        """The hit read of the ``repro serve`` daemon, which answers a
+        stored fingerprint without building the request.
+
+        Returns the stored entry as pickle bytes — pickling the stored
+        object *is* the copy, so it is not deep-copied first — or, for a
+        cached compiler refusal, the ``compile-error`` :class:`JobError`
+        slot :meth:`sweep` produces (labelled *label*).  A hit counts one
+        request and one cache hit.  Returns :data:`MISS` otherwise and
+        counts nothing: the caller falls back to :meth:`sweep`, which
+        counts the request and the miss.
+        """
+        with get_tracer().span(
+            "service.lookup", category="service",
+            fingerprint=fingerprint[:12],
+        ) as span:
+            stored = self._cache_get(fingerprint, peek=True)
+            span.set(cache="miss" if stored is MISS else "hit")
+            if stored is MISS:
+                return MISS
+            self.metrics.record_request()
+            self.metrics.record_cache_hit(fingerprint)
+            if isinstance(stored, _CachedFailure):
+                return JobError(label, fingerprint, "compile-error",
+                                str(stored.error))
+            return pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
+
     # -- fault-tolerant cache access -------------------------------------------
 
-    def _cache_get(self, fingerprint: str) -> Any:
-        """A flaky cache read degrades to a miss (counted, traced)."""
+    def _cache_get(self, fingerprint: str, peek: bool = False) -> Any:
+        """A flaky cache read degrades to a miss (counted, traced).
+        With *peek*, the stored entry itself (see
+        :meth:`ArtifactCache.peek`)."""
         try:
+            if peek:
+                return self.cache.peek(fingerprint)
             return self.cache.get(fingerprint)
         except Exception as exc:
             if not is_injected_fault(exc):

@@ -83,3 +83,31 @@ class TestKernelRoundTrip:
     def test_print_stmt(self):
         k = parse_kernel(KERNELS[0])
         assert "for (i = 0; i < n; i++) {" in print_stmt(k.body)
+
+
+class TestUndeclaredIndexFixpoint:
+    """Tiling introduces loop indices (``i_t``, ``j_t``) that no Decl
+    declares; the printer declares them, and the re-parsed declarations
+    must re-print to the same text."""
+
+    NEST = """
+void nest(float *a, int n) {
+    int i, j;
+    for (i = 0; i < n; i++) {
+        for (j = 0; j < n; j++) {
+            a[i * n + j] = a[i * n + j] * 2.0f;
+        }
+    }
+}
+"""
+
+    def test_tiled_nest_is_a_print_parse_fixpoint(self):
+        from repro.ir.stmt import For
+        from repro.passes.library.tile import tile_in_kernel
+
+        kernel = parse_kernel(self.NEST)
+        outer = next(s for s in kernel.body.walk() if isinstance(s, For))
+        tiled = tile_in_kernel(kernel, outer.loop_id, (4, 4))
+        once = print_kernel(tiled)
+        assert "int i_t;\n" in once and "int j_t;\n" in once
+        assert print_kernel(parse_kernel(once)) == once

@@ -18,6 +18,7 @@ from repro.server.quotas import AdmissionController, TokenBucket
 from repro.server.smoke import artifact_signature, fig4_requests
 from repro.service.fingerprint import CompileRequest
 from repro.service.resilience import SimClock
+from repro.service.scheduler import JobError
 
 SOURCE = """
 #pragma acc kernels
@@ -277,3 +278,217 @@ def test_requests_are_traced_in_per_client_lanes():
         assert {s.attributes.get("lane") for s in spans} == {"client:lane-me"}
     finally:
         reset_tracer()
+
+
+# --------------------------------------------------------------------------
+# fingerprint-first: hits on the connection thread, source only on a miss
+# --------------------------------------------------------------------------
+
+def _raw_frame(host, port, frames):
+    """Send *frames* over one raw connection; the decoded responses."""
+    responses = []
+    with socket.create_connection((host, port), timeout=10) as sock:
+        reader = sock.makefile("rb")
+        for frame in frames:
+            sock.sendall(protocol.encode_frame(frame))
+            responses.append(protocol.decode_frame(reader.readline()))
+    return responses
+
+
+def test_sequential_repeat_counts_one_hit_and_one_miss():
+    """A hit counts one request and one cache hit; the miss that fell
+    through to a compile counts one cache miss, not one per lookup."""
+    with spawn_local(ServerConfig(jobs=1)) as (server, client):
+        client.compile_request(demo_request())
+        submitted = server.batcher.snapshot()["submitted"]
+        client.compile_request(demo_request())
+        snap = server.service.metrics.snapshot()
+        assert snap["requests"] == 2
+        assert snap["cache_hits"] == 1
+        assert snap["compiles"] == 1
+        assert server.service.cache.stats.misses == 1
+        # the hit took no batcher ticket
+        assert server.batcher.snapshot()["submitted"] == submitted
+
+
+def test_hit_is_answered_without_parse_or_batch():
+    from repro.telemetry import configure_tracer, get_tracer, reset_tracer
+
+    request = demo_request()
+    with spawn_local(ServerConfig(jobs=1)) as (_server, client):
+        client.compile_request(request)
+        configure_tracer(enabled=True)
+        try:
+            client.compile_request(request)
+            spans = get_tracer().spans()
+        finally:
+            reset_tracer()
+    names = {s.name for s in spans}
+    assert "frontend.parse" not in names
+    assert "server.batch" not in names
+    (lookup,) = [s for s in spans if s.name == "service.lookup"]
+    assert lookup.category == "service"
+    assert lookup.attributes["cache"] == "hit"
+    assert lookup.attributes["fingerprint"] == request.fingerprint[:12]
+    (served,) = [s for s in spans if s.name == "server.request"]
+    assert served.attributes["cache"] == "hit"
+    (call,) = [s for s in spans if s.name == "server.client"]
+    assert "resent" not in call.attributes  # no source went out
+
+
+def test_sweep_resends_only_the_misses_in_request_order():
+    from repro.service.scheduler import CompileService
+
+    requests = fig4_requests(6)
+    baseline = [artifact_signature(s)
+                for s in CompileService().sweep(requests)]
+    with spawn_local(ServerConfig(jobs=2)) as (server, client):
+        client.sweep(requests[1::2])          # warm every other point
+        submitted = server.batcher.snapshot()["submitted"]
+        got = [artifact_signature(s) for s in client.sweep(requests)]
+        assert got == baseline
+        assert server.batcher.snapshot()["submitted"] - submitted == 3
+
+
+def test_cached_refusal_on_the_hit_path_matches_the_sweep_slot():
+    """PGI has no OpenCL backend: the cached refusal replays as the same
+    compile-error slot the sweep path produced."""
+    request = CompileRequest(parse_module(SOURCE, "demo"), "pgi", "opencl",
+                             label="pgi-ocl")
+    with spawn_local(ServerConfig(jobs=1)) as (server, client):
+        (cold,) = client.sweep([request])
+        (warm,) = client.sweep([request])
+        assert server.service.metrics.snapshot()["cache_hits"] >= 1
+        with pytest.raises(JobError) as raised:
+            client.compile_request(request)
+    fields = lambda e: (type(e), e.label, e.fingerprint, e.kind,  # noqa: E731
+                        e.message, e.seconds)
+    assert cold.kind == "compile-error"
+    assert fields(warm) == fields(cold)
+    assert fields(raised.value) == fields(cold)
+
+
+def test_miss_probe_is_not_charged_to_the_quota():
+    server = make_server(quota_rate=0.001, quota_burst=1.0,
+                         batch_window_s=0.0)
+    try:
+        host, port = server.address
+        probe = protocol.point_to_wire(demo_request(), source=False)
+        responses = _raw_frame(host, port, [
+            {"id": i, "op": "compile", "client": "prober", "point": probe}
+            for i in range(3)
+        ])
+        assert [r["result"] for r in responses] == [{"status": "miss"}] * 3
+        assert server.admission.snapshot()["admitted"] == 0
+        # the one-point burst still covers the compile itself
+        with ServerClient(host, port, client_id="prober") as client:
+            client.compile_request(demo_request())
+        assert server.admission.snapshot()["rejected_quota"] == 0
+    finally:
+        server.drain()
+
+
+def test_injected_cache_read_fault_on_the_hit_path_degrades_to_a_miss():
+    from repro.faults.plan import parse_fault_spec
+
+    plan = parse_fault_spec("cache-read:p=1")
+    with spawn_local(ServerConfig(jobs=1,
+                                  service_kwargs={"fault_plan": plan})) \
+            as (server, client):
+        first = client.compile_request(demo_request())
+        snap = server.service.metrics.snapshot()
+        # probe lookup, resend lookup and the compile path's read all flake
+        assert snap["cache_io_errors"] == 3
+        assert snap["compiles"] == 1 and snap["cache_hits"] == 0
+        second = client.compile_request(demo_request())
+        assert server.service.metrics.snapshot()["compiles"] == 2
+    assert artifact_signature(first) == artifact_signature(second)
+
+
+@pytest.mark.parametrize("claim", [
+    "../../../../etc/passwd" + "0" * 42,    # traversal, right length
+    "z" * 64,                               # not hex
+    1234,                                   # wrong JSON type
+])
+def test_malformed_claimed_fingerprint_gets_400_before_any_store_access(
+        claim):
+    server = make_server()
+    try:
+        host, port = server.address
+        point = protocol.point_to_wire(demo_request(), source=False)
+        point["fingerprint"] = claim
+        before = server.service.cache.stats.snapshot()
+        bad, hello = _raw_frame(host, port, [
+            {"id": 1, "op": "compile", "client": "evil", "point": point},
+            {"id": 2, "op": "hello", "client": "evil"},
+        ])
+        assert bad["ok"] is False
+        assert bad["error"]["code"] == protocol.BAD_REQUEST
+        assert hello["ok"] is True            # the connection survived
+        assert server.service.cache.stats.snapshot() == before
+        assert len(server.service.cache) == 0
+    finally:
+        server.drain()
+
+
+def test_source_that_does_not_match_its_claim_gets_400_and_stores_nothing():
+    server = make_server()
+    try:
+        host, port = server.address
+        honest = protocol.point_to_wire(demo_request())
+        other = CompileRequest(parse_module(SOURCE, "other"), "caps", "cuda")
+        forged = dict(honest, fingerprint=other.fingerprint)
+        bad, hello = _raw_frame(host, port, [
+            {"id": 1, "op": "sweep", "client": "evil", "points": [forged]},
+            {"id": 2, "op": "hello", "client": "evil"},
+        ])
+        assert bad["error"]["code"] == protocol.BAD_REQUEST
+        assert "claimed" in bad["error"]["message"]
+        assert hello["ok"] is True
+        assert len(server.service.cache) == 0
+        assert server.service.metrics.snapshot()["compiles"] == 0
+    finally:
+        server.drain()
+
+
+def test_concurrent_hits_count_exactly_under_a_short_switch_interval():
+    """More client threads than cores hammer the hit path; no hit
+    counter loses an update and nothing recompiles."""
+    import sys
+
+    requests = fig4_requests(4)
+    threads_n, repeats = 8, 5
+    interval = sys.getswitchinterval()
+    with spawn_local(ServerConfig(jobs=2)) as (server, client):
+        client.sweep(requests)
+        before = server.service.metrics.snapshot()
+        hits_before = server.service.cache.stats.memory_hits
+        host, port = server.address
+        errors: list[str] = []
+
+        def drive(index: int) -> None:
+            try:
+                with ServerClient(host, port, client_id=f"h{index}") as c:
+                    for _ in range(repeats):
+                        c.sweep(requests)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(f"{index}: {exc}")
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(i,))
+                       for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        hits = threads_n * repeats * len(requests)
+        after = server.service.metrics.snapshot()
+        assert after["cache_hits"] - before["cache_hits"] == hits
+        assert after["requests"] - before["requests"] == hits
+        assert after["compiles"] == before["compiles"]
+        assert server.service.cache.stats.memory_hits - hits_before == hits

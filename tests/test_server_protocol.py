@@ -6,7 +6,10 @@ The contracts a client can rely on:
   ``encode_frame -> decode_frame`` unchanged;
 * compile points round trip **fingerprint-stably** — a
   :class:`CompileRequest` rebuilt from its wire form has the same
-  fingerprint as the original (the determinism contract's foundation);
+  fingerprint as the original (the determinism contract's foundation),
+  for every golden point the daemon serves;
+* a claimed fingerprint is exactly 64 lowercase hex characters, and
+  source that does not hash to it is refused;
 * sweep slots round trip — artifacts and :class:`JobError` slots both
   survive the wire with every structured field intact;
 * malformed frames raise :class:`ProtocolError` (which the daemon turns
@@ -173,6 +176,93 @@ def test_point_round_trip_carries_device():
     assert rebuilt.device is not None
     assert rebuilt.device.name == K40.name
     assert rebuilt.fingerprint == request.fingerprint
+
+
+def _daemon_golden_requests():
+    """The compile request behind every golden key a daemon can serve:
+    the Fig. 4 grid and every benchmark stage (ladder rungs included)
+    x (caps-cuda, caps-opencl, pgi-cuda)."""
+    from repro.core.ladder import ladder_stages
+    from repro.kernels import get_benchmark
+    from repro.server import fig4_requests
+    from tests.passes._golden import load_golden
+
+    fig4 = {f"fig4/{r.label}": r for r in fig4_requests()}
+    stages = {}
+    requests = {}
+    for key in sorted(load_golden()):
+        if "/opencl/" in key:
+            continue  # hand-written OpenCL programs never cross the wire
+        if key in fig4:
+            requests[key] = fig4[key]
+            continue
+        bench, stage, pair = key.split("/")
+        if bench not in stages:
+            benchmark = get_benchmark(bench)
+            stages[bench] = dict(benchmark.stages())
+            stages[bench].update(ladder_stages(benchmark.module()))
+        compiler, target = pair.split("-")
+        requests[key] = CompileRequest(stages[bench][stage], compiler, target)
+    return requests
+
+
+def test_every_daemon_golden_point_round_trips_fingerprint_stably():
+    """The server re-derives the client's fingerprint for every point
+    the benchmarks send — including tiled ladder stages, whose loop
+    indices the printer declares itself."""
+    requests = _daemon_golden_requests()
+    assert len(requests) == 219
+    drifted = []
+    for key, request in requests.items():
+        try:  # a drifted fingerprint fails the daemon's claim check
+            rebuilt = point_from_wire(point_to_wire(request))
+        except ProtocolError:
+            drifted.append(key)
+            continue
+        if rebuilt.fingerprint != request.fingerprint:
+            drifted.append(key)
+    assert drifted == []
+
+
+def test_point_without_source_carries_only_the_fingerprint():
+    request = demo_request()
+    point = point_to_wire(request, source=False)
+    assert "source" not in point
+    assert point["fingerprint"] == request.fingerprint
+    assert protocol.claimed_fingerprint(point) == request.fingerprint
+    with pytest.raises(ProtocolError):
+        point_from_wire(point)  # nothing to parse
+
+
+def test_v1_point_without_fingerprint_still_parses():
+    request = demo_request()
+    point = point_to_wire(request)
+    del point["fingerprint"]
+    assert protocol.claimed_fingerprint(point) is None
+    assert point_from_wire(point).fingerprint == request.fingerprint
+
+
+@pytest.mark.parametrize("claim", [
+    "../" * 20 + "etc/passwd",          # traversal
+    "g" * 64,                           # not hex
+    "A" * 64,                           # not lowercase
+    "ab" * 31,                          # too short
+    "ab" * 33,                          # too long
+    64,                                 # wrong JSON type
+    ["ab" * 32],
+])
+def test_malformed_fingerprints_raise_protocol_error(claim):
+    point = point_to_wire(demo_request(), source=False)
+    point["fingerprint"] = claim
+    with pytest.raises(ProtocolError):
+        protocol.claimed_fingerprint(point)
+
+
+def test_source_that_does_not_hash_to_the_claim_is_refused():
+    point = point_to_wire(demo_request())
+    point["fingerprint"] = "0" * 64
+    with pytest.raises(ProtocolError, match="claimed"):
+        point_from_wire(point)
 
 
 @pytest.mark.parametrize("corrupt", [
