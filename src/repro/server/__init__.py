@@ -15,9 +15,9 @@ concurrent clients, one shared verified compile pipeline:
   ``compile`` / ``sweep`` / ``status`` / ``stats`` / ``shutdown`` over
   one :class:`~repro.service.scheduler.CompileService` with a
   hash-prefix-sharded artifact store; a stored fingerprint is answered
-  on the connection thread (no parse, no batch window, no deep copy),
-  and a claimed fingerprint is only a lookup key — source that does
-  not hash to it is refused;
+  on the connection thread with its stored pickle bytes (no parse, no
+  batch window, no copy), and a claimed fingerprint is only a lookup
+  key — source that does not hash to it is refused;
 * :mod:`.batcher` — cross-client request coalescing (N identical
   in-flight misses, one compile) and micro-batching into scheduler
   sweeps;

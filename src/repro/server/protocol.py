@@ -288,7 +288,7 @@ def pack_artifact(artifact: Any) -> str:
 
 def pickled_slot(pickled: bytes) -> dict[str, Any]:
     """The ``ok`` slot of an artifact that is already pickled (the
-    daemon's hit path pickles the stored entry itself)."""
+    daemon's hit path sends the store's bytes as they are)."""
     return {"status": "ok",
             "artifact": base64.b64encode(pickled).decode("ascii")}
 

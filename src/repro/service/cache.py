@@ -5,21 +5,22 @@ optional on-disk store (one pickle per fingerprint under ``cache_dir``)
 that survives the process and is shared between runs — the warm-sweep
 path of the Fig. 4 heat maps and the auto-tuner.
 
-The cache must be an *invisible* optimization: ``get`` and ``put`` both
-deep-copy, so no two callers ever alias the same artifact object, and a
-cache hit is observationally identical to a fresh compile (byte-identical
-PTX, identical instruction counters).  ``peek`` hands out the stored
-entry itself, for callers that only serialize it.  Failures are
-cacheable too — the compiler models are deterministic, so a module PGI
-rejects today it will reject tomorrow; the scheduler stores a marker
-and replays the error.
+Both tiers hold an entry as the same pickle bytes, which ``put``
+produces once.  The cache must be an *invisible* optimization, and
+unpickling is the copy: ``get`` returns a fresh object, so no two
+callers ever alias one, and a hit is observationally identical to a
+fresh compile (byte-identical PTX, identical instruction counters).
+``peek`` hands out the stored :class:`Stored` entry, bytes untouched,
+for the daemon's wire.  Failures are cacheable too (the compiler models
+are deterministic): the scheduler stores a :class:`CachedRefusal`,
+flagged ``refused`` so a hit tells it apart without unpickling.
 
 All operations are thread-safe (the scheduler's worker pool and the
 ``repro serve`` daemon's connection handlers share one cache).  The lock
-guards only *index* mutation — never file I/O: a multi-megabyte pickle
-landing on a slow disk must not stall every other client's lookups.
-Disk publishes are atomic (``os.replace``), so lock-free readers never
-observe a partial entry.
+guards only *index* mutation — never pickling or file I/O: a
+multi-megabyte pickle landing on a slow disk must not stall every other
+client's lookups.  Disk publishes are atomic (``os.replace``), so
+lock-free readers never observe a partial entry.
 
 Two implementations share the contract:
 
@@ -38,7 +39,6 @@ copied through on a hit — the read-through peer mode of docs/SERVER.md.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
@@ -46,7 +46,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 #: returned by :meth:`ArtifactCache.get` on a miss (``None`` is a valid
 #: cached value in principle, so a dedicated sentinel keeps it unambiguous)
@@ -55,6 +55,27 @@ MISS = object()
 #: shard prefixes are the first ``_PREFIX_LEN`` hex chars of the
 #: fingerprint (fingerprints are SHA-256 hex digests)
 _PREFIX_LEN = 2
+
+
+@dataclass
+class CachedRefusal:
+    """A deterministic compile failure, stored so warm sweeps replay it
+    without recompiling (injected faults are plan state, never cached)."""
+
+    error: Exception
+
+
+class Stored(NamedTuple):
+    """One entry: the artifact's pickle bytes and its refusal flag."""
+
+    blob: bytes
+    refused: bool
+
+
+def _read_stored(path: Path) -> Stored:
+    """The entry at *path*, unpickled once to validate (raises if not)."""
+    blob = path.read_bytes()
+    return Stored(blob, isinstance(pickle.loads(blob), CachedRefusal))
 
 
 class CacheDirError(NotADirectoryError):
@@ -169,23 +190,20 @@ class CacheStats:
 
 @dataclass
 class ArtifactCache:
-    """LRU memory tier + optional pickle-per-fingerprint disk tier."""
+    """LRU memory tier + optional disk tier, both holding pickle bytes."""
 
     max_entries: int = 512
     cache_dir: str | os.PathLike[str] | None = None
     #: read-only sibling stores consulted on a local disk miss; a hit is
     #: copied through into the local tiers (never written back)
     peer_dirs: tuple[str | os.PathLike[str], ...] = ()
-    #: deep-copy artifacts on the way in and out so cached state can never
-    #: be mutated through an alias; disable only for frozen artifacts.
-    copy_on_hit: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._lock = threading.RLock()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        self._entries: OrderedDict[str, Stored] = OrderedDict()
         if self.cache_dir is not None:
             self.cache_dir = ensure_writable_dir(self.cache_dir)
         self.peer_dirs = tuple(Path(p) for p in self.peer_dirs)
@@ -193,43 +211,40 @@ class ArtifactCache:
     # -- lookup ---------------------------------------------------------------
 
     def get(self, fingerprint: str) -> Any:
-        """The artifact stored under *fingerprint*, or :data:`MISS`."""
-        artifact = self.peek(fingerprint)
-        if artifact is MISS:
+        """A fresh unpickled copy of the stored artifact, or :data:`MISS`."""
+        stored = self.peek(fingerprint)
+        if stored is MISS:
             with self._lock:
                 self.stats.misses += 1
             return MISS
-        return self._out(artifact)
+        return pickle.loads(stored.blob)
 
-    def peek(self, fingerprint: str) -> Any:
-        """The stored entry itself, *uncopied*, or :data:`MISS`.
-
-        For a caller that only serializes the entry (the daemon pickles
-        it onto the wire, and pickling is the copy) — it must never
-        mutate it.  A hit counts like :meth:`get`; a miss is not counted,
-        because the caller's fallback (a compile through :meth:`get`)
-        counts it.
-        """
+    def peek(self, fingerprint: str) -> Stored | Any:
+        """The :class:`Stored` entry itself, bytes untouched (the daemon
+        forwards them onto the wire), or :data:`MISS`.  A hit counts
+        like :meth:`get`; a miss is not counted, because the caller's
+        fallback (a compile through :meth:`get`) counts it."""
         with self._lock:
-            if fingerprint in self._entries:
+            stored = self._entries.get(fingerprint)
+            if stored is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.memory_hits += 1
-                return self._entries[fingerprint]
+                return stored
         # the slow tiers run unlocked: unpickling a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
-        artifact = self._disk_load(fingerprint)
-        if artifact is not MISS:
+        stored = self._disk_load(fingerprint)
+        if stored is not MISS:
             with self._lock:
                 self.stats.disk_hits += 1
-                self._install(fingerprint, artifact)
-            return artifact
-        artifact = self._peer_load(fingerprint)
-        if artifact is not MISS:
-            self._disk_store(fingerprint, artifact, count=False)  # copy through
+                self._install(fingerprint, stored)
+            return stored
+        stored = self._peer_load(fingerprint)
+        if stored is not MISS:
+            self._disk_write(fingerprint, stored.blob, count=False)
             with self._lock:
                 self.stats.peer_hits += 1
-                self._install(fingerprint, artifact)
-        return artifact
+                self._install(fingerprint, stored)
+        return stored
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
@@ -247,7 +262,8 @@ class ArtifactCache:
     # -- store ----------------------------------------------------------------
 
     def put(self, fingerprint: str, artifact: Any) -> None:
-        """Store *artifact* in both tiers under *fingerprint*.
+        """Pickle *artifact* once and store the bytes in both tiers; an
+        unpicklable artifact raises ``PicklingError`` naming *fingerprint*.
 
         Idempotent per fingerprint: a second ``put`` for a stored key is
         a counted no-op (``stats.redundant_stores``).  The compilers are
@@ -256,12 +272,18 @@ class ArtifactCache:
         result was abandoned — and must not double-count stores or
         re-write the disk tier.
         """
+        try:
+            blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            raise pickle.PicklingError(
+                f"artifact {fingerprint} cannot be pickled: {exc}") from exc
         with self._lock:
             if fingerprint in self._entries:
                 self.stats.redundant_stores += 1
                 return
             self.stats.stores += 1
-            self._install(fingerprint, self._in(artifact))
+            self._install(fingerprint,
+                          Stored(blob, isinstance(artifact, CachedRefusal)))
         disk = self._disk_path(fingerprint)
         if disk is None:
             return
@@ -269,7 +291,7 @@ class ArtifactCache:
             with self._lock:
                 self.stats.redundant_stores += 1
             return
-        self._disk_store(fingerprint, artifact)
+        self._disk_write(fingerprint, blob)
 
     def clear(self, memory_only: bool = True) -> None:
         """Drop the memory tier (and the disk tier if asked)."""
@@ -281,14 +303,8 @@ class ArtifactCache:
 
     # -- internals -------------------------------------------------------------
 
-    def _out(self, artifact: Any) -> Any:
-        return copy.deepcopy(artifact) if self.copy_on_hit else artifact
-
-    def _in(self, artifact: Any) -> Any:
-        return copy.deepcopy(artifact) if self.copy_on_hit else artifact
-
-    def _install(self, fingerprint: str, artifact: Any) -> None:
-        self._entries[fingerprint] = artifact
+    def _install(self, fingerprint: str, stored: Stored) -> None:
+        self._entries[fingerprint] = stored
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -303,39 +319,36 @@ class ArtifactCache:
         for peer in self.peer_dirs:
             yield Path(peer) / f"{fingerprint}.pkl"
 
-    def _disk_load(self, fingerprint: str) -> Any:
+    def _disk_load(self, fingerprint: str) -> Stored | Any:
         path = self._disk_path(fingerprint)
         if path is None or not path.exists():
             return MISS
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
+            return _read_stored(path)
         except Exception:
             # a truncated/corrupt entry is a miss, not an error;
             # drop it so the fresh artifact replaces it
             path.unlink(missing_ok=True)
             return MISS
 
-    def _peer_load(self, fingerprint: str) -> Any:
+    def _peer_load(self, fingerprint: str) -> Stored | Any:
         for path in self._peer_paths(fingerprint):
             if not path.exists():
                 continue
             try:
-                with path.open("rb") as fh:
-                    return pickle.load(fh)
+                return _read_stored(path)
             except Exception:
                 continue  # peers are read-only: never delete their entries
         return MISS
 
-    def _disk_store(self, fingerprint: str, artifact: Any,
+    def _disk_write(self, fingerprint: str, blob: bytes,
                     count: bool = True) -> None:
         path = self._disk_path(fingerprint)
         if path is None:
             return
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
-            with tmp.open("wb") as fh:
-                pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp.write_bytes(blob)
             os.replace(tmp, path)  # atomic publish: readers never see partial
             if count:
                 with self._lock:
@@ -362,7 +375,6 @@ class ShardedArtifactCache:
         max_entries: int = 512,
         cache_dir: str | os.PathLike[str] | None = None,
         peer_dirs: tuple[str | os.PathLike[str], ...] = (),
-        copy_on_hit: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -383,7 +395,6 @@ class ShardedArtifactCache:
                                     for peer in self.peer_dirs)
                         if p is not None
                     ),
-                    copy_on_hit=copy_on_hit,
                 )
             )
 
@@ -401,7 +412,7 @@ class ShardedArtifactCache:
     def get(self, fingerprint: str) -> Any:
         return self.shard_for(fingerprint).get(fingerprint)
 
-    def peek(self, fingerprint: str) -> Any:
+    def peek(self, fingerprint: str) -> Stored | Any:
         return self.shard_for(fingerprint).peek(fingerprint)
 
     def put(self, fingerprint: str, artifact: Any) -> None:

@@ -14,8 +14,8 @@ owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
 * :meth:`sweep` — fault-tolerant batch for parameter sweeps: a failed
   point yields a structured :class:`JobError` in its slot and the rest
   of the sweep completes.
-* :meth:`lookup` — the daemon's hit read: a stored fingerprint's entry
-  as pickle bytes, with no request, no pool hop and no deep copy.
+* :meth:`lookup` — the daemon's hit read: a stored fingerprint's pickle
+  bytes as stored, with no request, no pool hop and no copy.
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
@@ -61,7 +61,6 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from ..compilers.flags import FlagSet
@@ -71,7 +70,7 @@ from ..faults.plan import FaultPlan, is_injected_fault, is_transient
 from ..ir.stmt import Module
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import get_tracer
-from .cache import MISS, ArtifactCache
+from .cache import MISS, ArtifactCache, CachedRefusal
 from .fingerprint import CompileRequest
 from .metrics import ServiceMetrics
 from .resilience import (
@@ -108,15 +107,6 @@ class JobError(Exception):
             (self.label, self.fingerprint, self.kind, self.message,
              self.seconds),
         )
-
-
-@dataclass
-class _CachedFailure:
-    """Marker artifact for a deterministic compile failure (so warm
-    sweeps replay the error without recompiling).  Injected faults are
-    *never* cached — they belong to a fault plan, not to the request."""
-
-    error: Exception
 
 
 def _default_compile_fn(request: CompileRequest) -> Any:
@@ -197,7 +187,7 @@ class CompileService:
             if cached is not MISS:
                 self.metrics.record_cache_hit(fingerprint)
                 span.set(cache="hit")
-                if isinstance(cached, _CachedFailure):
+                if isinstance(cached, CachedRefusal):
                     raise cached.error
                 return cached
             span.set(cache="miss")
@@ -233,7 +223,7 @@ class CompileService:
                     if not injected:
                         # deterministic compiler behaviour: cacheable.
                         # injected faults are plan state, never cached.
-                        self._cache_put(fingerprint, _CachedFailure(exc))
+                        self._cache_put(fingerprint, CachedRefusal(exc))
                     self.metrics.record_compile(fingerprint, seconds,
                                                 failed=True)
                     span.set(attempts=attempt + 1)
@@ -255,11 +245,11 @@ class CompileService:
         """The hit read of the ``repro serve`` daemon, which answers a
         stored fingerprint without building the request.
 
-        Returns the stored entry as pickle bytes — pickling the stored
-        object *is* the copy, so it is not deep-copied first — or, for a
-        cached compiler refusal, the ``compile-error`` :class:`JobError`
-        slot :meth:`sweep` produces (labelled *label*).  A hit counts one
-        request and one cache hit.  Returns :data:`MISS` otherwise and
+        Returns the stored pickle bytes themselves — the object ``put``
+        produced, never re-pickled — or, for a cached compiler refusal
+        (told apart by the entry's flag), the ``compile-error``
+        :class:`JobError` slot :meth:`sweep` produces (labelled
+        *label*).  A hit counts one request and one cache hit.  Returns :data:`MISS` otherwise and
         counts nothing: the caller falls back to :meth:`sweep`, which
         counts the request and the miss.
         """
@@ -273,17 +263,16 @@ class CompileService:
                 return MISS
             self.metrics.record_request()
             self.metrics.record_cache_hit(fingerprint)
-            if isinstance(stored, _CachedFailure):
+            if stored.refused:
                 return JobError(label, fingerprint, "compile-error",
-                                str(stored.error))
-            return pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
+                                str(pickle.loads(stored.blob).error))
+            return stored.blob
 
     # -- fault-tolerant cache access -------------------------------------------
 
     def _cache_get(self, fingerprint: str, peek: bool = False) -> Any:
         """A flaky cache read degrades to a miss (counted, traced).
-        With *peek*, the stored entry itself (see
-        :meth:`ArtifactCache.peek`)."""
+        With *peek*, the stored entry (see :meth:`ArtifactCache.peek`)."""
         try:
             if peek:
                 return self.cache.peek(fingerprint)
@@ -459,8 +448,8 @@ class CompileService:
 
     def _mark_degraded(self, artifact: Any, original: tuple[str, str],
                        fallback: tuple[str, str]) -> None:
-        """Surface a breaker fallback on the artifact itself (results
-        are deep copies, so the cached pristine artifact is untouched)."""
+        """Surface a breaker fallback on the artifact itself (the cache
+        holds bytes, so the cached pristine artifact is untouched)."""
         try:
             artifact.degraded = True
             artifact.degraded_from = "-".join(original)

@@ -7,6 +7,13 @@ import pytest
 from repro.service import MISS, ArtifactCache
 
 
+def _forbid_pickle_dumps(monkeypatch):
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("promotion re-pickled the artifact")
+
+    monkeypatch.setattr(pickle, "dumps", no_dumps)
+
+
 class TestMemoryTier:
     def test_roundtrip_and_counters(self):
         cache = ArtifactCache(max_entries=4)
@@ -55,6 +62,21 @@ class TestMemoryTier:
         artifact["log"].append("mutated after put")
         assert cache.get("fp") == {"log": ["ok"]}
 
+    def test_stores_one_pickle_and_unpickles_per_get(self):
+        cache = ArtifactCache()
+        cache.put("fp", {"ptx": "body"})
+        stored = cache.peek("fp")
+        assert pickle.loads(stored.blob) == {"ptx": "body"}
+        assert not stored.refused
+        assert cache.get("fp") is not cache.get("fp")
+
+    def test_unpicklable_artifact_raises_naming_the_fingerprint(self):
+        cache = ArtifactCache()
+        with pytest.raises(pickle.PicklingError, match="fp-lambda"):
+            cache.put("fp-lambda", lambda: None)
+        assert "fp-lambda" not in cache
+        assert cache.stats.stores == 0
+
     def test_clear(self):
         cache = ArtifactCache()
         cache.put("fp", 1)
@@ -82,6 +104,22 @@ class TestDiskTier:
         path.write_bytes(b"not a pickle")
         assert cache.get("fp") is MISS
         assert not path.exists()
+
+    def test_disk_and_memory_tiers_hold_the_same_bytes(self, tmp_path):
+        cache = ArtifactCache(cache_dir=tmp_path)
+        cache.put("fp", {"ptx": "body"})
+        assert cache.peek("fp").blob == (tmp_path / "fp.pkl").read_bytes()
+
+    def test_promotion_installs_the_bytes_it_read(self, tmp_path,
+                                                   monkeypatch):
+        ArtifactCache(cache_dir=tmp_path).put("fp", {"ptx": "body"})
+        on_disk = (tmp_path / "fp.pkl").read_bytes()
+        fresh = ArtifactCache(cache_dir=tmp_path)
+
+        _forbid_pickle_dumps(monkeypatch)
+        assert fresh.get("fp") == {"ptx": "body"}
+        assert fresh.peek("fp").blob == on_disk
+        assert fresh.stats.disk_hits == 1
 
     def test_entries_are_plain_pickles(self, tmp_path):
         cache = ArtifactCache(cache_dir=tmp_path)
@@ -227,6 +265,27 @@ class TestPeerReadThrough:
         solo = ArtifactCache(cache_dir=local_dir)  # no peers configured
         assert solo.get("fp") == {"from": "peer"}
 
+    def test_corrupt_peer_entry_is_skipped_and_kept(self, tmp_path,
+                                                    monkeypatch):
+        from repro.service import ArtifactCache
+
+        bad_peer = tmp_path / "bad"
+        bad_peer.mkdir()
+        (bad_peer / "fp.pkl").write_bytes(b"not a pickle")
+        good_peer = tmp_path / "good"
+        ArtifactCache(cache_dir=good_peer).put("fp", {"from": "good"})
+
+        _forbid_pickle_dumps(monkeypatch)
+        local_dir = tmp_path / "local"
+        local = ArtifactCache(cache_dir=local_dir,
+                              peer_dirs=(bad_peer, good_peer))
+        assert local.get("fp") == {"from": "good"}
+        assert local.stats.peer_hits == 1
+        assert (bad_peer / "fp.pkl").read_bytes() == b"not a pickle"
+        # copied through byte for byte, without a second pickle
+        assert ((local_dir / "fp.pkl").read_bytes()
+                == (good_peer / "fp.pkl").read_bytes())
+
     def test_local_tiers_win_over_peers(self, tmp_path):
         from repro.service import ArtifactCache
 
@@ -262,15 +321,11 @@ class TestPeerReadThrough:
 
 
 class _BlockingPickle:
-    """Pickling blocks until `gate` is set; deep-copy stays instant, so
-    the memory tier is fast and only the disk write stalls."""
+    """Pickling blocks until `gate` is set."""
 
     def __init__(self, gate, entered):
         self.gate = gate
         self.entered = entered
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         self.entered.set()
@@ -323,26 +378,55 @@ class TestLockNarrowing:
         assert fresh.get("slow-fp") == "unblocked"
 
     def test_memory_tier_of_the_slow_fingerprint_stays_readable(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        """``put`` installs the memory tier before the disk publish, so
+        while that publish is stalled the slow fingerprint is already
+        readable and other fingerprints keep flowing."""
+        import os
         import threading
 
         from repro.service import ArtifactCache
 
-        cache = ArtifactCache(cache_dir=tmp_path)
         gate = threading.Event()
         entered = threading.Event()
-        slow = _BlockingPickle(gate, entered)
+        real_replace = os.replace
 
-        writer = threading.Thread(target=cache.put, args=("slow-fp", slow))
+        def slow_replace(src, dst):
+            if os.path.basename(dst) == "slow-fp.pkl":
+                entered.set()
+                assert gate.wait(timeout=10), "test gate never opened"
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", slow_replace)
+        cache = ArtifactCache(cache_dir=tmp_path)
+        writer = threading.Thread(target=cache.put,
+                                  args=("slow-fp", {"ptx": "slow"}))
         writer.start()
         try:
-            assert entered.wait(timeout=10)
-            # the memory tier was installed before the disk write began
-            assert isinstance(cache.get("slow-fp"), _BlockingPickle)
-            assert cache.stats.memory_hits == 1
+            assert entered.wait(timeout=10)  # writer is inside os.replace
+            done = threading.Event()
+
+            def probe():
+                assert cache.get("slow-fp") == {"ptx": "slow"}
+                assert cache.stats.memory_hits == 1
+                cache.put("fast-fp", [1, 2, 3])
+                assert cache.get("fast-fp") == [1, 2, 3]
+                assert cache.get("absent-fp") is MISS
+                done.set()
+
+            prober = threading.Thread(target=probe)
+            prober.start()
+            prober.join(timeout=5)
+            assert done.is_set(), (
+                "the memory tier blocked behind a stalled disk write "
+                "(lock held during file I/O, or install after the write)"
+            )
         finally:
             gate.set()
             writer.join(timeout=10)
+        assert not writer.is_alive()
+        fresh = ArtifactCache(cache_dir=tmp_path)
+        assert fresh.get("slow-fp") == {"ptx": "slow"}
 
     def test_parallel_puts_of_distinct_fingerprints(self, tmp_path):
         import threading

@@ -41,6 +41,26 @@ class TestColdVsCacheHit:
         assert warm.render() == cold.render()
 
 
+class TestNoDeepCopy:
+    def test_cold_heatmap_never_deep_copies(self, monkeypatch):
+        """The cache stores pickle bytes: a cold Fig. 4 map on a fresh
+        service copies no artifact object graph."""
+        import copy
+
+        calls = []
+        real_deepcopy = copy.deepcopy
+
+        def counting_deepcopy(*args, **kwargs):
+            calls.append(1)
+            return real_deepcopy(*args, **kwargs)
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        service = CompileService()
+        lud_heatmap(get_benchmark("lud"), K40, "caps", service=service,
+                    **SMALL)
+        assert service.metrics.compiles == 6
+        assert calls == []
+
 class TestSerialVsParallel:
     def test_heatmap_jobs4_byte_identical(self):
         bench = get_benchmark("lud")

@@ -282,3 +282,85 @@ class TestFailureCaching:
         assert replayed.kind == "compile-error"
         assert replayed.message == "structured boom"
         assert replayed.fingerprint == req.fingerprint
+
+
+class TestLookup:
+    """The daemon's hit read forwards the stored bytes as they are: no
+    re-pickle, and a cached refusal still comes back as a slot."""
+
+    @pytest.fixture(params=["flat", "sharded", "fault-adapter"])
+    def make_service(self, request):
+        from repro.faults import FaultPlan
+        from repro.service import ShardedArtifactCache
+
+        def make(compile_fn=None):
+            if request.param == "sharded":
+                return CompileService(cache=ShardedArtifactCache(shards=4),
+                                      compile_fn=compile_fn)
+            if request.param == "fault-adapter":
+                return CompileService(fault_plan=FaultPlan(),
+                                      compile_fn=compile_fn)
+            return CompileService(compile_fn=compile_fn)
+
+        return make
+
+    def test_hit_returns_the_stored_bytes_without_pickling(
+            self, make_service, module, monkeypatch):
+        import pickle
+
+        service = make_service()
+        request = CompileRequest(module, "caps", "cuda")
+        compiled = service.compile_request(request)
+        stored = service.cache.peek(request.fingerprint).blob
+
+        dumps = []
+        real_dumps = pickle.dumps
+
+        def counting_dumps(*args, **kwargs):
+            dumps.append(1)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        hit = service.lookup(request.fingerprint)
+        assert hit is stored
+        assert dumps == []
+        assert (pickle.loads(hit).kernels[0].ptx.render()
+                == compiled.kernels[0].ptx.render())
+
+    def test_cached_refusal_on_the_hit_path_is_a_compile_error(
+            self, make_service, module):
+        def refuse(request):
+            raise CompilationError("pgi refuses")
+
+        service = make_service(refuse)
+        request = CompileRequest(module, "pgi", "opencl", label="sweep")
+        (swept,) = service.sweep([request])
+        assert service.cache.peek(request.fingerprint).refused
+
+        hit = service.lookup(request.fingerprint, label="wire")
+        assert isinstance(hit, JobError)
+        assert hit.kind == swept.kind == "compile-error"
+        assert hit.message == swept.message == "pgi refuses"
+        assert hit.label == "wire"
+
+    def test_refusal_flag_survives_disk_promotion(self, module, tmp_path):
+        def refuse(request):
+            raise CompilationError("no backend")
+
+        request = CompileRequest(module, "caps", "opencl")
+        CompileService(cache=ArtifactCache(cache_dir=tmp_path),
+                       compile_fn=refuse).sweep([request])
+        fresh = CompileService(cache=ArtifactCache(cache_dir=tmp_path))
+        hit = fresh.lookup(request.fingerprint)
+        assert isinstance(hit, JobError) and hit.message == "no backend"
+        assert fresh.cache.stats.disk_hits == 1
+
+    def test_unpicklable_artifact_is_an_error_not_a_dropped_store(
+            self, module):
+        import pickle
+
+        service = CompileService(compile_fn=lambda request: lambda: None)
+        request = CompileRequest(module, "caps", "cuda")
+        with pytest.raises(pickle.PicklingError, match=request.fingerprint):
+            service.compile_request(request)
+        assert request.fingerprint not in service.cache
