@@ -18,10 +18,6 @@ Commands:
   cache/scheduler, batching + admission control (docs/SERVER.md).
 * ``client``         — talk to a running daemon: ``compile``, ``sweep``,
   ``status``, ``stats`` (or ``--spawn`` an ephemeral in-process one).
-* ``jit-bench``      — the jit seed-template benchmark: cold/warm cache
-  trajectory + server-coalesced remote compiles (docs/JIT.md).
-* ``jit-stats``      — specialize a ``$hole`` template for given shapes;
-  print shape classes, plans, and the cache trajectory (docs/JIT.md).
 * ``exec-sweep``     — run the execution-heavy GE/LUD/Hydro kernel sweep
   and print its result digest (docs/EXECUTOR.md); ``--cache-dir``
   persists compiled kernel plans so warm runs skip codegen entirely.
@@ -448,95 +444,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
         return 1 if failures else 0
 
 
-def _parse_shape(spec: str) -> dict[str, int]:
-    """``"n=128"`` or ``"rows=64,cols=128"`` -> hole bindings."""
-    shape: dict[str, int] = {}
-    for part in spec.split(","):
-        name, _, value = part.partition("=")
-        if not name or not value:
-            raise ValueError(f"bad --shape entry {part!r} (want name=value)")
-        shape[name.strip()] = int(value)
-    return shape
-
-
-def _cmd_jit_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .jit.bench import report_lines, run_bench
-
-    payload = run_bench(
-        compiler=args.compiler, target=args.target,
-        warm_rounds=args.warm_rounds, clients=args.clients,
-        remote=not args.no_remote,
-    )
-    print("\n".join(report_lines(payload)))
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json}", file=sys.stderr)
-    ok = payload["trajectory"]["warm_speedup"] >= 1.0
-    remote = payload.get("remote")
-    if remote is not None:
-        ok = ok and remote["identical"]
-    return 0 if ok else 1
-
-
-def _cmd_jit_stats(args: argparse.Namespace) -> int:
-    from .jit import KernelTemplate, specialize
-    from .jit.cache import SpecializationCache
-    from .telemetry import get_registry
-
-    try:
-        shapes = [_parse_shape(spec) for spec in args.shape]
-    except ValueError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    template = KernelTemplate.from_source(Path(args.file).read_text())
-    holes = ", ".join(f"${name}:{dtype}"
-                      for name, dtype in sorted(template.holes.items()))
-    print(f"template {template.name} ({template.template_id[:12]}) "
-          f"holes: {holes or 'none'}")
-    cache = SpecializationCache()
-    for shape in shapes:
-        spec = specialize(template, shape, args.compiler, args.target,
-                          cache=cache)
-        binding = " ".join(f"{k}={v}" for k, v in sorted(shape.items()))
-        print(f"  {binding}: class [{spec.shape_class.describe()}] "
-              f"plan {spec.plan.describe()} "
-              f"fingerprint {spec.fingerprint[:16]}")
-        kernel = spec.kernel()
-        print(f"    schedule: {kernel.distribution.strategy.value}")
-    print("cache: "
-          + " ".join(f"{k}={v}" for k, v in sorted(cache.stats().items())))
-    counters = {
-        name: value
-        for name, value in get_registry().snapshot()["counters"].items()
-        if name.startswith("jit.")
-    }
-    if counters:
-        print("counters: "
-              + " ".join(f"{k}={v}" for k, v in sorted(counters.items())))
-    fallbacks = _fallback_histogram()
-    if fallbacks:
-        print("executor fallbacks: "
-              + " ".join(f"{k}={v}" for k, v in sorted(fallbacks.items())))
-    return 0
-
-
-def _fallback_histogram() -> dict[str, int]:
-    """The per-reason ``executor.fallback.<reason>`` counters, keyed by
-    reason (docs/EXECUTOR.md) — why the vectorizer rejected loops."""
-    from .telemetry import get_registry
-
-    prefix = "executor.fallback."
-    return {
-        name[len(prefix):]: value
-        for name, value in get_registry().snapshot()["counters"].items()
-        if name.startswith(prefix)
-    }
-
-
 def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     import json
 
@@ -724,40 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_autotune)
 
     p = sub.add_parser(
-        "jit-bench",
-        help="the jit seed-template benchmark: cold/warm cache trajectory "
-             "plus server-coalesced remote compiles (docs/JIT.md)",
-    )
-    p.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
-    p.add_argument("--target", choices=("cuda", "opencl"), default="cuda")
-    p.add_argument("--warm-rounds", type=int, default=2, metavar="N",
-                   help="warm replay rounds over the seed shapes (default 2)")
-    p.add_argument("--clients", type=int, default=4, metavar="N",
-                   help="concurrent clients for the remote-coalescing phase "
-                        "(default 4)")
-    p.add_argument("--no-remote", action="store_true",
-                   help="skip the spawned-server coalescing phase")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="also write the BENCH_jit.json payload to FILE")
-    add_trace_flags(p)
-    p.set_defaults(func=_cmd_jit_bench)
-
-    p = sub.add_parser(
-        "jit-stats",
-        help="specialize a kernel template for given shapes and print the "
-             "shape classes, plans, and cache trajectory (docs/JIT.md)",
-    )
-    p.add_argument("file", help="a mini-C template with $name holes")
-    p.add_argument("--shape", action="append", required=True, metavar="BINDS",
-                   help="one shape's hole bindings, e.g. 'n=128' or "
-                        "'rows=64,cols=128' (repeatable; repeats show "
-                        "exact-cache hits)")
-    p.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
-    p.add_argument("--target", choices=("cuda", "opencl"), default="cuda")
-    add_trace_flags(p)
-    p.set_defaults(func=_cmd_jit_stats)
-
-    p = sub.add_parser(
         "exec-sweep",
         help="run the execution-heavy GE/LUD/Hydro kernel sweep and print "
              "its result digest (docs/EXECUTOR.md)",
@@ -877,15 +750,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cli_errors(func):
     """Turn the structured failure modes into clean CLI exits: a bad
-    --faults spec or an unusable --cache-dir is a usage error (2); a
-    sweep point still failing after the retry/breaker kit is exhausted
-    is a run failure (1), reported as one line rather than a
-    traceback."""
+    --faults spec, an unusable --cache-dir or mini-C source that does
+    not lex or parse is a usage error (2); a sweep point still failing
+    after the retry/breaker kit is exhausted is a run failure (1), each
+    reported as one line rather than a traceback."""
     import functools
 
     from .core.ladder import LadderError
     from .faults import FaultSpecError
-    from .jit import TemplateError
+    from .frontend import LexError, ParseError, PragmaError
     from .service import CacheDirError, JobError
 
     @functools.wraps(func)
@@ -901,8 +774,8 @@ def _cli_errors(func):
         except LadderError as exc:
             print(f"repro: bad --ladder spec: {exc}", file=sys.stderr)
             return 2
-        except TemplateError as exc:
-            print(f"repro: bad template/bindings: {exc}", file=sys.stderr)
+        except (LexError, ParseError, PragmaError) as exc:
+            print(f"repro: bad source: {exc}", file=sys.stderr)
             return 2
         except JobError as exc:
             print(f"repro: sweep failed after retries: {exc}",

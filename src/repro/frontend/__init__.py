@@ -5,14 +5,7 @@ kernel in the same subset) into the loop-nest IR of :mod:`repro.ir`.
 """
 
 from .lexer import LexError, Token, tokenize
-from .parser import (
-    ParseError,
-    Parser,
-    parse_expr,
-    parse_kernel,
-    parse_module,
-    template_holes,
-)
+from .parser import ParseError, Parser, parse_expr, parse_kernel, parse_module
 from .pragmas import PragmaError, parse_pragma
 
 __all__ = [
@@ -25,6 +18,5 @@ __all__ = [
     "parse_kernel",
     "parse_module",
     "parse_pragma",
-    "template_holes",
     "tokenize",
 ]

@@ -3,12 +3,6 @@
 Produces a flat token stream; ``#pragma`` lines become single PRAGMA tokens
 carrying their raw text (sub-parsed later by :mod:`repro.frontend.pragmas`),
 mirroring how a real C tokenizer hands pragmas to the compiler as units.
-
-Template holes — ``$n`` or ``$rows:int`` / ``$eps:float`` — lex to HOLE
-tokens.  They are only meaningful to a :class:`~repro.frontend.parser.Parser`
-constructed with a ``bindings`` map (the ``repro.jit`` frontend); plain
-``parse_kernel``/``parse_module`` reject them with a diagnostic listing
-the unbound holes.
 """
 
 from __future__ import annotations
@@ -44,14 +38,10 @@ _OPERATORS = [
     "(", ")", "[", "]", "{", "}", ",", ";", "?", ":",
 ]
 
-#: template-hole spellings: ``$name`` with an optional ``:type`` suffix
-HOLE_TYPES = ("int", "long", "float", "double")
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<pragma>\#pragma[^\n]*)
   | (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<hole>\$[A-Za-z_][A-Za-z_0-9]*(:(?:int|long|float|double))?)
   | (?P<float>(\d+\.\d*|\.\d+)([eE][-+]?\d+)?[fF]?|\d+[eE][-+]?\d+[fF]?|\d+[fF])
   | (?P<int>0[xX][0-9a-fA-F]+|\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
@@ -69,7 +59,7 @@ class LexError(SyntaxError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # PRAGMA | FLOAT | INT | IDENT | KEYWORD | OP | HOLE | EOF
+    kind: str  # PRAGMA | FLOAT | INT | IDENT | KEYWORD | OP | EOF
     text: str
     line: int
     col: int
@@ -95,8 +85,6 @@ def tokenize(source: str) -> list[Token]:
             raise LexError(f"unexpected character {text!r} at line {line}, col {col}")
         if kind == "pragma":
             tokens.append(Token("PRAGMA", text.strip(), line, col))
-        elif kind == "hole":
-            tokens.append(Token("HOLE", text, line, col))
         elif kind == "float":
             tokens.append(Token("FLOAT", text, line, col))
         elif kind == "int":

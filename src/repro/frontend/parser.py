@@ -84,23 +84,9 @@ class ParseError(SyntaxError):
 
 
 class Parser:
-    """Parses mini-C; *bindings* resolves template holes (``$n``) to
-    literals at parse time (the ``repro.jit`` specialization frontend).
-
-    ``holes`` records every hole the source mentions (name -> declared
-    type), whether or not it was bound — :func:`template_holes` uses a
-    scan-only parser to enumerate a template's parameters.
-    """
-
-    def __init__(
-        self,
-        source: str,
-        bindings: dict[str, int | float] | None = None,
-    ) -> None:
+    def __init__(self, source: str) -> None:
         self._tokens = tokenize(source)
         self._pos = 0
-        self._bindings = bindings
-        self.holes: dict[str, str] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -414,41 +400,8 @@ class Parser:
             expr = ArrayRef(expr.name, tuple(indices))
         return expr
 
-    def _resolve_hole(self, token: Token) -> Expr:
-        """Bind one ``$name[:type]`` hole to a typed literal."""
-        text = token.text[1:]  # strip "$"
-        name, _, declared = text.partition(":")
-        declared = declared or "int"
-        previous = self.holes.setdefault(name, declared)
-        if previous != declared:
-            raise ParseError(
-                f"hole ${name} declared both :{previous} and :{declared}",
-                token,
-            )
-        if self._bindings is None or name not in self._bindings:
-            raise ParseError(f"unbound template hole ${name}", token)
-        value = self._bindings[name]
-        if declared in ("int", "long"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(
-                    f"hole ${name}:{declared} bound to non-integer "
-                    f"{value!r}", token,
-                )
-            dtype = DType.INT64 if declared == "long" else DType.INT32
-            return IntLit(int(value), dtype)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(
-                f"hole ${name}:{declared} bound to non-numeric {value!r}",
-                token,
-            )
-        dtype = DType.FLOAT32 if declared == "float" else DType.FLOAT64
-        return FloatLit(float(value), dtype)
-
     def _parse_primary(self) -> Expr:
         token = self._cur
-        if token.kind == "HOLE":
-            self._advance()
-            return self._resolve_hole(token)
         if token.kind == "INT":
             self._advance()
             return IntLit(int(token.text, 0))
@@ -492,51 +445,22 @@ class Parser:
         raise ParseError("expected an expression", token)
 
 
-def parse_kernel(
-    source: str, bindings: dict[str, int | float] | None = None
-) -> KernelFunction:
+def parse_kernel(source: str) -> KernelFunction:
     """Parse a single mini-C kernel function."""
-    parser = Parser(source, bindings)
+    parser = Parser(source)
     kernel = parser.parse_kernel()
     if not parser._check("EOF"):
         raise ParseError("trailing input after kernel", parser._cur)
     return kernel
 
 
-def parse_module(
-    source: str,
-    name: str = "module",
-    bindings: dict[str, int | float] | None = None,
-) -> Module:
-    """Parse a translation unit of one or more kernels.
-
-    *bindings* resolves template holes (``$n``) at parse time; a hole the
-    map does not cover raises :class:`ParseError`.
-    """
+def parse_module(source: str, name: str = "module") -> Module:
+    """Parse a translation unit of one or more kernels."""
     from ..telemetry.spans import get_tracer
 
     with get_tracer().span("frontend.parse", category="frontend",
                            module=name, chars=len(source)):
-        return Parser(source, bindings).parse_module(name)
-
-
-def template_holes(source: str) -> dict[str, str]:
-    """The holes of a kernel template (name -> declared type), by lexing
-    alone — no bindings needed, no IR built, no parse span emitted."""
-    from .lexer import tokenize
-
-    holes: dict[str, str] = {}
-    for token in tokenize(source):
-        if token.kind != "HOLE":
-            continue
-        name, _, declared = token.text[1:].partition(":")
-        declared = declared or "int"
-        if holes.setdefault(name, declared) != declared:
-            raise ParseError(
-                f"hole ${name} declared both :{holes[name]} and "
-                f":{declared}", token,
-            )
-    return holes
+        return Parser(source).parse_module(name)
 
 
 def parse_expr(source: str) -> Expr:

@@ -97,41 +97,6 @@ def rewrite_stmt(stmt: Stmt, fn: Callable[[Stmt], Stmt | None]) -> Stmt:
     return node if replacement is None else replacement
 
 
-def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild *expr* bottom-up, applying *fn* to every node (children
-    first, then the rebuilt node itself)."""
-    from .expr import ArrayRef as _ArrayRef
-    from .expr import BinOp, Call, Cast, Ternary, UnaryOp
-
-    if isinstance(expr, _ArrayRef):
-        rebuilt: Expr = _ArrayRef(
-            expr.name, tuple(map_expr(i, fn) for i in expr.indices)
-        )
-    elif isinstance(expr, BinOp):
-        rebuilt = BinOp(expr.op, map_expr(expr.lhs, fn), map_expr(expr.rhs, fn))
-    elif isinstance(expr, UnaryOp):
-        rebuilt = UnaryOp(expr.op, map_expr(expr.operand, fn))
-    elif isinstance(expr, Call):
-        rebuilt = Call(expr.func, tuple(map_expr(a, fn) for a in expr.args))
-    elif isinstance(expr, Ternary):
-        rebuilt = Ternary(
-            map_expr(expr.cond, fn),
-            map_expr(expr.then, fn),
-            map_expr(expr.otherwise, fn),
-        )
-    elif isinstance(expr, Cast):
-        rebuilt = Cast(expr.dtype, map_expr(expr.operand, fn))
-    else:
-        rebuilt = expr
-    return fn(rebuilt)
-
-
-def rewrite_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
-    """Clone *stmt*, applying *fn* bottom-up to every expression node it
-    contains (including nested sub-expressions)."""
-    return _rewrite_top_exprs(stmt, lambda expr: map_expr(expr, fn))
-
-
 def _rewrite_top_exprs(stmt: Stmt, fn: Callable[[Expr], Expr]) -> Stmt:
     """Clone *stmt*, applying *fn* once to each statement-level expression
     (the function is responsible for its own recursion)."""

@@ -22,7 +22,6 @@ from . import (  # noqa: F401  (import-time pass registration)
     distribute,
     fuse_reuse,
     independent,
-    jit_specialize,
     opencl,
     pgi,
     reduction,

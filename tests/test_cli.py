@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 DEMO = """
@@ -40,6 +46,31 @@ class TestAnalyze:
         assert main(["analyze", demo_file]) == 0
         out = capsys.readouterr().out
         assert "loop over 'i': independent" in out
+
+
+class TestBadSource:
+    """Mini-C that does not lex or parse is a one-line usage error (exit
+    2) from a real ``python -m repro`` process, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["compile", "analyze"])
+    @pytest.mark.parametrize("line, where", [
+        ("    a[i] = 1.0f @ 2;", "line 7, col 17"),
+        ("    a[i] = $n;", "line 7, col 12"),
+    ], ids=["at-sign", "dollar"])
+    def test_exits_2_naming_the_position(self, command, line, where,
+                                         tmp_path):
+        path = tmp_path / "bad.c"
+        path.write_text(DEMO.replace("    a[i] = b[i] * 2.0f;", line))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("repro: bad source: ")
+        assert where in proc.stderr
 
 
 class TestExperiment:
@@ -222,6 +253,13 @@ class TestExecSweep:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["jit-bench", "jit-stats"])
+    def test_removed_subcommands_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cache_dir_persists_plans(self, tmp_path, capsys):
         import json

@@ -36,17 +36,6 @@ void demo(float *a, const float *b, int n) {
 }
 """
 
-# the saxpy template docs/JIT.md specializes by name (jit-stats)
-SAXPY_TEMPLATE_C = """
-void saxpy(float* y, const float* x, float a, int n) {
-  #pragma acc parallel
-  #pragma acc loop independent
-  for (i = 0; i < $n; i++) {
-    y[i] = a * x[i] + y[i];
-  }
-}
-"""
-
 # the shape of a shrunk reproducer (docs/DIFFTEST.md): any mini-C file
 # replays; a divergence-free one classifies as explained (exit 0)
 SEED42_MIN_C = """
@@ -152,7 +141,6 @@ def docs_cwd(tmp_path_factory):
     input files the examples reference by name."""
     cwd = tmp_path_factory.mktemp("docs-examples")
     (cwd / "kernel.c").write_text(KERNEL_C)
-    (cwd / "saxpy_t.c").write_text(SAXPY_TEMPLATE_C)
     failures = cwd / "difftest-failures"
     failures.mkdir()
     (failures / "seed42_min.c").write_text(SEED42_MIN_C)
@@ -168,7 +156,7 @@ class TestExtraction:
         assert sum(per_file.values()) >= 25, per_file
         for required in ("README.md", "SERVICE.md", "FAULTS.md",
                          "TELEMETRY.md", "DIFFTEST.md", "EXECUTOR.md",
-                         "JIT.md", "WORKLOADS.md"):
+                         "WORKLOADS.md"):
             assert any(n.endswith(required) and count > 0
                        for n, count in per_file.items()), per_file
 

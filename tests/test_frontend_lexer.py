@@ -51,9 +51,10 @@ class TestTokenize:
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "EOF"
 
-    def test_bad_character(self):
+    @pytest.mark.parametrize("source", ["a @ b", "a $n b"])
+    def test_bad_character(self, source):
         with pytest.raises(LexError):
-            tokenize("a @ b")
+            tokenize(source)
 
     def test_multiline_comment_line_tracking(self):
         tokens = tokenize("/* a\nb\nc */ x")

@@ -5,13 +5,11 @@ from repro.ir import (
     Assign,
     Block,
     For,
-    IntLit,
     Var,
     clone_kernel,
     clone_stmt,
     const,
     print_kernel,
-    rewrite_exprs,
     scalar_writes,
     stmt_arrays,
     stmt_free_vars,
@@ -55,20 +53,6 @@ class TestRewrite:
         k = parse_kernel(SRC)
         body = substitute_in_stmt(k.body, {"n": const(8)})
         assert "n" not in stmt_free_vars(body)
-
-    def test_rewrite_exprs_constant_fold(self):
-        k = parse_kernel("void f(float *a) { a[2 + 3] = 1.0f; }")
-
-        def fold(e):
-            from repro.ir import BinOp
-            if (isinstance(e, BinOp) and e.op == "+"
-                    and isinstance(e.lhs, IntLit) and isinstance(e.rhs, IntLit)):
-                return IntLit(e.lhs.value + e.rhs.value)
-            return e
-
-        body = rewrite_exprs(k.body, fold)
-        assign = body.stmts[0]
-        assert assign.target.indices[0] == IntLit(5)
 
 
 class TestCollectors:

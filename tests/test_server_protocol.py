@@ -275,6 +275,8 @@ def test_source_that_does_not_hash_to_the_claim_is_refused():
     {"source": SOURCE, "compiler": "caps", "target": "cuda",
      "flags": {"no_compiler": True}},
     "not even a dict",
+    {"source": SOURCE.replace("i < n", "i < $n"), "compiler": "caps",
+     "target": "cuda"},                                 # '$' does not lex
 ])
 def test_bad_points_raise_protocol_error(corrupt):
     with pytest.raises(ProtocolError):
