@@ -343,7 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         peer_dirs=tuple(args.peer_dir or ()),
         max_queue_depth=args.queue_depth,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        batch_window_s=args.batch_window, max_batch=args.max_batch,
         service_kwargs=_resilience_from_args(args),
     )
     if args.self_test:
@@ -687,11 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-client sustained points/second (default 64)")
     p.add_argument("--quota-burst", type=float, default=256.0, metavar="B",
                    help="per-client burst allowance in points (default 256)")
-    p.add_argument("--batch-window", type=float, default=0.005, metavar="S",
-                   help="micro-batch collection window in seconds "
-                        "(default 0.005)")
-    p.add_argument("--max-batch", type=int, default=32, metavar="N",
-                   help="max points per scheduler batch (default 32)")
     p.add_argument("--self-test", action="store_true",
                    help="run the end-to-end smoke (concurrent clients, "
                         "byte-identity, coalescing, admission) and exit")

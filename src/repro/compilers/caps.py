@@ -34,7 +34,6 @@ from __future__ import annotations
 from ..ir.directives import AccData
 from ..ir.stmt import KernelFunction, Module
 from ..passes import PassContext, pipeline_for
-from ..passes.library.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS  # noqa: F401  (back-compat re-export)
 from ..ptx.codegen import CodegenStyle, ParallelMapping, generate_ptx, stage_shared_ptx
 from ..telemetry.spans import get_tracer
 from .flags import FlagSet

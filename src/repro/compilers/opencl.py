@@ -105,10 +105,6 @@ def _distribution_for(spec: OpenCLKernelSpec) -> ThreadDistribution:
     )
 
 
-#: back-compat alias; the implementation moved next to the PTX generator
-_stage_shared_ptx = stage_shared_ptx
-
-
 class NvidiaOpenCLCompiler:
     """OpenCL -> PTX on the K40."""
 

@@ -42,14 +42,6 @@ from __future__ import annotations
 from ..ir.stmt import KernelFunction, Module
 from ..ir.types import ArrayType
 from ..passes import PassContext, pipeline_for
-from ..passes.library.pgi import (  # noqa: F401  (back-compat re-exports)
-    _PGI_SAFE_PAIRS,
-    PGI_DEFAULT_BLOCK,
-    PGI_UNROLL_FACTOR,
-    _alias_blocked,
-    _loop_is_complex,
-    _pgi_parallelizable,
-)
 from ..ptx.codegen import (
     CodegenStyle,
     ParallelMapping,

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from ..analysis.dependence import Verdict, analyze_loop
-from ..compilers.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS, CapsCompiler
+from ..compilers.caps import CapsCompiler
 from ..compilers.flags import TABLE_I
 from ..compilers.framework import PARALLELISM_MAPPING, DistStrategy
-from ..compilers.pgi import PGI_DEFAULT_BLOCK, PgiCompiler
+from ..compilers.pgi import PgiCompiler
 from ..devices.specs import K40, PHI_5110P
 from ..frontend.parser import parse_kernel
 from ..kernels import TABLE_IV_ROWS, get_benchmark
+from ..passes.library.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS
+from ..passes.library.pgi import PGI_DEFAULT_BLOCK
 from ..ptx.isa import CATEGORY_OF, TABLE_V
 from ..runtime.launcher import Accelerator
 from .common import Claim, ExperimentResult

@@ -46,10 +46,12 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ..service.cache import MISS, DiskTier, SingleFlight, ensure_writable_dir
 from ..telemetry.registry import get_registry
 from ..telemetry.spans import get_tracer
 
@@ -460,14 +462,15 @@ def _make_codegen(kernel: KernelFunction,
 # still hits.
 #
 # Two tiers.  The in-memory tier is an LRU OrderedDict holding compiled
-# functions.  The optional *persistent* tier (configure_plan_cache)
-# stores the generated Python source on disk under the content-addressed
-# cache directory; a warm process re-enters plans by exec()ing the
-# persisted source, skipping _make_codegen — and therefore the
-# execute.vectorize span — entirely.  Every persisted plan carries the
-# PLAN_SCHEMA codegen version stamp; a stamp mismatch makes the plan
-# unloadable (treated as a miss and dropped), so stale plans from an
-# older lowering can never execute.
+# functions (they cannot be pickled, so it is not a service store).  The
+# optional *persistent* tier (configure_plan_cache) is a DiskTier of
+# generated Python source, one JSON file per key; a warm process
+# re-enters plans by exec()ing the persisted source, skipping
+# _make_codegen — and therefore the execute.vectorize span — entirely.
+# Every persisted plan carries the PLAN_SCHEMA codegen version stamp.  A
+# plan that fails to load for any reason (corrupt JSON, a stamp
+# mismatch, source that does not define a kernel) is a miss: the file is
+# dropped and the plan recompiled, so a stale plan can never execute.
 
 #: codegen version stamp for persisted plans.  Bump whenever the scalar
 #: or vector lowering changes in any observable way: stale plans become
@@ -477,22 +480,9 @@ PLAN_SCHEMA = "exec-plan-v1"
 _CACHE_CAP = 512
 _fn_cache: OrderedDict[tuple, tuple] = OrderedDict()
 _fn_cache_lock = threading.Lock()
+_fn_flights = SingleFlight()
 
-
-class _InflightCompile:
-    """Per-key latch: the first thread to miss compiles, racers wait."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: tuple | None = None
-        self.error: BaseException | None = None
-
-
-_fn_inflight: dict[tuple, _InflightCompile] = {}
-
-_plan_dir: Path | None = None
+_plan_tier: DiskTier | None = None
 
 
 def configure_plan_cache(path: str | os.PathLike[str] | None) -> Path | None:
@@ -503,19 +493,17 @@ def configure_plan_cache(path: str | os.PathLike[str] | None) -> Path | None:
     one clear error at configuration time, not a failure mid-sweep.
     Returns the resolved directory (or ``None``).
     """
-    global _plan_dir
+    global _plan_tier
     if path is None:
-        _plan_dir = None
+        _plan_tier = None
         return None
-    from ..service.cache import ensure_writable_dir
-
-    _plan_dir = ensure_writable_dir(path)
-    return _plan_dir
+    _plan_tier = DiskTier(ensure_writable_dir(path), ".json")
+    return _plan_tier.directory
 
 
 def plan_cache_dir() -> Path | None:
     """The configured persistent plan directory, if any."""
-    return _plan_dir
+    return _plan_tier.directory if _plan_tier is not None else None
 
 
 def clear_kernel_cache(memory_only: bool = False) -> None:
@@ -528,29 +516,22 @@ def clear_kernel_cache(memory_only: bool = False) -> None:
     """
     with _fn_cache_lock:
         _fn_cache.clear()
-        _fn_inflight.clear()
-    if memory_only or _plan_dir is None:
-        return
-    for path in _plan_dir.glob("*.json"):
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - racing cleanup is fine
-            pass
+        _fn_flights.clear()
+    if not memory_only and _plan_tier is not None:
+        _plan_tier.clear()
 
 
-def _plan_path(key: tuple) -> Path:
-    """Content-addressed file for *key* in the persistent tier.
+def _plan_name(key: tuple) -> str:
+    """Content address of *key* in the persistent tier.
 
-    The codegen version stamp is deliberately *not* part of the file
-    name: a version bump must find the stale file and reject it on load
-    (the satellite contract), not silently shadow it.
+    The codegen version stamp is deliberately *not* part of the name: a
+    version bump must find the stale file and reject it on load, not
+    silently shadow it.
     """
-    assert _plan_dir is not None
     fingerprint, semantics_key, backend = key
-    digest = hashlib.sha256(
+    return hashlib.sha256(
         "\x00".join([fingerprint, repr(semantics_key), backend]).encode()
     ).hexdigest()
-    return _plan_dir / f"{digest}.json"
 
 
 def _plan_namespace(backend: str) -> dict[str, object]:
@@ -573,52 +554,16 @@ def _exec_plan_source(source: str, backend: str, kernel_name: str):
     return namespace["_kernel"]
 
 
-def _plan_load(key: tuple, kernel_name: str) -> tuple | None:
-    """Load a persisted plan for *key*; ``None`` on miss or stale stamp."""
-    if _plan_dir is None:
-        return None
-    path = _plan_path(key)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    source = payload.get("source") if isinstance(payload, dict) else None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != PLAN_SCHEMA
-        or not isinstance(source, str)
-    ):
-        # a plan persisted by a different codegen version (or corrupt):
-        # unloadable by design — drop it and recompile
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - racing cleanup is fine
-            pass
-        return None
-    return (_exec_plan_source(source, key[2], kernel_name), source)
-
-
-def _plan_store(key: tuple, source: str) -> None:
-    """Persist *source* for *key* (atomic publish, rename-based)."""
-    if _plan_dir is None:
-        return
-    path = _plan_path(key)
-    payload = {
-        "schema": PLAN_SCHEMA,
-        "fingerprint": key[0],
-        "semantics": [list(item) for item in key[1]],
-        "backend": key[2],
-        "source": source,
-    }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-    except OSError:  # pragma: no cover - disk-full etc: cache is optional
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+def _plan_decode(backend: str, kernel_name: str, data: bytes) -> tuple:
+    """A persisted plan, validated: the JSON, the stamp, and a source
+    that defines a callable kernel (any failure raises)."""
+    payload = json.loads(data)
+    if payload["schema"] != PLAN_SCHEMA:
+        raise ValueError(f"plan schema {payload['schema']!r}")
+    fn = _exec_plan_source(payload["source"], backend, kernel_name)
+    if not callable(fn):
+        raise TypeError("plan source defines no kernel function")
+    return (fn, payload["source"])
 
 
 def _semantics_key(kernel: KernelFunction,
@@ -643,13 +588,15 @@ def _compile_uncached(
     key: tuple,
 ) -> tuple:
     """Compile on a genuine memo miss: disk tier first, then codegen."""
-    loaded = _plan_load(key, kernel.name)
-    if loaded is not None:
-        # warm persistent hit: no codegen ran, so no execute.vectorize
-        # span and no vectorized/fallback counter bumps — those count
-        # codegen events, and this was a plan re-entry
-        get_registry().counter("executor.plan_disk_hit").inc()
-        return loaded
+    if _plan_tier is not None:
+        loaded = _plan_tier.load(
+            _plan_name(key), partial(_plan_decode, backend, kernel.name))
+        if loaded is not MISS:
+            # warm persistent hit: no codegen ran, so no execute.vectorize
+            # span and no vectorized/fallback counter bumps — those count
+            # codegen events, and this was a plan re-entry
+            get_registry().counter("executor.plan_disk_hit").inc()
+            return loaded
 
     if backend == "vector":
         with get_tracer().span("execute.vectorize", category="executor",
@@ -667,8 +614,16 @@ def _compile_uncached(
         gen = _make_codegen(kernel, semantics, backend)
         source = gen.source()
     compiled = (_exec_plan_source(source, backend, kernel.name), source)
-    _plan_store(key, source)
-    if _plan_dir is not None:
+    if _plan_tier is not None:
+        payload = {
+            "schema": PLAN_SCHEMA,
+            "fingerprint": key[0],
+            "semantics": [list(item) for item in key[1]],
+            "backend": key[2],
+            "source": source,
+        }
+        _plan_tier.store(_plan_name(key),
+                         json.dumps(payload, sort_keys=True).encode())
         get_registry().counter("executor.plan_disk_store").inc()
     return compiled
 
@@ -681,56 +636,41 @@ def compile_kernel_fn(
     """Compile *kernel* into a callable ``f(**args)`` (memoized).
 
     Thread-safe with single-flight semantics: N threads racing on a cold
-    key run exactly one compile — the first thread takes a per-key latch
-    and the rest wait on it, then count a cache hit.  The memo tier is
-    LRU: a hit moves the key to the back, eviction at ``_CACHE_CAP``
-    drops the least-recently-used entry.
+    key run exactly one compile — the first thread leads a
+    :class:`~repro.service.cache.SingleFlight` flight, the rest wait on
+    it and count a cache hit.  The memo check and the join share one
+    lock, and the leader installs the memo entry before it settles, so
+    no racer misses both.  The memo tier is LRU: a hit moves the key to
+    the back, eviction at ``_CACHE_CAP`` drops the least-recently-used.
     """
     from ..service.fingerprint import fingerprint_kernel
 
     key = (fingerprint_kernel(kernel), _semantics_key(kernel, semantics),
            backend)
-    while True:
-        with _fn_cache_lock:
-            cached = _fn_cache.get(key)
-            if cached is not None:
-                _fn_cache.move_to_end(key)
-                latch = None
-            else:
-                latch = _fn_inflight.get(key)
-                if latch is None:
-                    latch = _InflightCompile()
-                    _fn_inflight[key] = latch
-                    break  # this thread is the compile leader
+    with _fn_cache_lock:
+        cached = _fn_cache.get(key)
         if cached is not None:
-            get_registry().counter("executor.cache_hit").inc()
-            return cached
-        latch.event.wait()
-        if latch.error is not None:
-            raise latch.error
-        if latch.result is not None:
-            get_registry().counter("executor.cache_hit").inc()
-            return latch.result
-        # the leader was cancelled (clear_kernel_cache mid-compile):
-        # retry from the top
+            _fn_cache.move_to_end(key)
+        else:
+            flight, leader = _fn_flights.join(key)
+    if cached is not None:
+        get_registry().counter("executor.cache_hit").inc()
+        return cached
+    if not leader:
+        compiled = flight.result()
+        get_registry().counter("executor.cache_hit").inc()
+        return compiled
 
     try:
         compiled = _compile_uncached(kernel, semantics, backend, key)
     except BaseException as exc:
-        latch.error = exc
-        with _fn_cache_lock:
-            if _fn_inflight.get(key) is latch:
-                del _fn_inflight[key]
-        latch.event.set()
+        _fn_flights.settle(key, flight, error=exc)
         raise
-    latch.result = compiled
     with _fn_cache_lock:
         while len(_fn_cache) >= _CACHE_CAP:
             _fn_cache.popitem(last=False)  # LRU eviction
         _fn_cache[key] = compiled
-        if _fn_inflight.get(key) is latch:
-            del _fn_inflight[key]
-    latch.event.set()
+    _fn_flights.settle(key, flight, compiled)
     return compiled
 
 

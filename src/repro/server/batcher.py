@@ -5,16 +5,17 @@ compilers are pure — so the batcher applies two collapses before any
 compile runs:
 
 * **coalescing** — while a fingerprint is in flight, every further
-  request for it (from *any* client) joins the same ticket and receives
+  request for it (from *any* client) joins the same flight and receives
   the same result; N concurrent identical requests cost exactly one
-  compile.  This is the server-side twin of the scheduler's in-flight
-  dedup, but it spans *connections*, not just threads, and it counts
-  (``coalesced``) so the savings are visible in ``server.*`` gauges.
+  compile.  The index is a :class:`~repro.service.cache.SingleFlight`,
+  the same primitive as the scheduler's in-flight dedup, but this one
+  spans *connections*, not just threads, and it counts (``coalesced``)
+  so the savings are visible in ``server.*`` gauges.
 * **micro-batching** — admitted points are collected for up to
-  ``window_s`` (or ``max_batch`` points, whichever first) and submitted
-  as one :meth:`CompileService.sweep`, so a burst of single compiles
-  from independent clients rides one scheduler batch (one journal pass,
-  one breaker advance, pooled workers kept busy).
+  :data:`BATCH_WINDOW_S` (or :data:`MAX_BATCH` points, whichever first)
+  and submitted as one :meth:`CompileService.sweep`, so a burst of
+  single compiles from independent clients rides one scheduler batch
+  (one journal pass, one breaker advance, pooled workers kept busy).
 
 Determinism: batching changes *when* a compile runs and *which* sweep it
 shares, never its inputs — fingerprints are content addresses and the
@@ -31,65 +32,60 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 
+from ..service.cache import Flight, SingleFlight
 from ..service.fingerprint import CompileRequest
 from ..service.scheduler import CompileService, JobError
 from ..telemetry.spans import get_tracer
 
-__all__ = ["BatchTicket", "CoalescingBatcher"]
+__all__ = ["BATCH_WINDOW_S", "MAX_BATCH", "BatchTicket", "CoalescingBatcher"]
+
+#: how long the dispatcher holds a batch open after its first point
+BATCH_WINDOW_S = 0.005
+#: the most points one scheduler sweep carries
+MAX_BATCH = 32
 
 
 class BatchTicket:
-    """One fingerprint's pending result; shared by every coalesced
-    waiter.  ``wait()`` returns the artifact or the :class:`JobError`
-    (never raises — slots are data, exactly like ``sweep`` slots)."""
+    """One request's handle on its fingerprint's flight, which every
+    coalesced request shares.  ``wait()`` returns the artifact or the
+    :class:`JobError` (never raises — slots are data, exactly like
+    ``sweep`` slots)."""
 
-    __slots__ = ("fingerprint", "request", "waiters", "_done", "_result")
+    __slots__ = ("fingerprint", "request", "flight")
 
-    def __init__(self, request: CompileRequest) -> None:
+    def __init__(self, request: CompileRequest, flight: Flight) -> None:
         self.fingerprint = request.fingerprint
         self.request = request
-        self.waiters = 1
-        self._done = threading.Event()
-        self._result: Any = None
-
-    def resolve(self, result: Any) -> None:
-        self._result = result
-        self._done.set()
+        self.flight = flight
 
     def wait(self, timeout_s: float | None = None) -> Any:
-        if not self._done.wait(timeout_s):
+        try:
+            return self.flight.result(timeout_s)
+        except FutureTimeoutError:
             return JobError(
                 self.request.label or self.request.module.name,
                 self.fingerprint, "timeout",
                 f"server result not ready within {timeout_s:g}s",
                 timeout_s or 0.0,
             )
-        return self._result
 
 
 class CoalescingBatcher:
     """Fingerprint-coalescing micro-batcher in front of a
     :class:`CompileService`."""
 
-    def __init__(
-        self,
-        service: CompileService,
-        window_s: float = 0.005,
-        max_batch: int = 32,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, service: CompileService) -> None:
         self.service = service
-        self.window_s = max(0.0, window_s)
-        self.max_batch = max_batch
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
+        #: the leaders' tickets, waiting for the dispatcher
         self._queue: list[BatchTicket] = []
-        #: every undone ticket (queued or mid-sweep), by fingerprint —
+        #: every unsettled flight (queued or mid-sweep), by fingerprint —
         #: the coalescing index
-        self._pending: dict[str, BatchTicket] = {}
+        self._flights = SingleFlight()
         self._closed = False
         # counters (server stats)
         self.submitted = 0
@@ -106,28 +102,26 @@ class CoalescingBatcher:
 
     def submit(self, request: CompileRequest) -> BatchTicket:
         """Enqueue one point; identical in-flight fingerprints coalesce
-        onto the existing ticket (no new queue entry, no new compile)."""
+        onto the existing flight (no new queue entry, no new compile)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("batcher is closed")
             self.submitted += 1
-            ticket = self._pending.get(request.fingerprint)
-            if ticket is not None:
-                ticket.waiters += 1
-                self.coalesced += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.record_span(
-                        "server.coalesce", 0.0, category="server",
-                        label=request.label or request.module.name,
-                        fingerprint=request.fingerprint[:12],
-                        waiters=ticket.waiters,
-                    )
+            flight, leader = self._flights.join(request.fingerprint)
+            ticket = BatchTicket(request, flight)
+            if leader:
+                self._queue.append(ticket)
+                self._wakeup.notify()
                 return ticket
-            ticket = BatchTicket(request)
-            self._pending[request.fingerprint] = ticket
-            self._queue.append(ticket)
-            self._wakeup.notify()
+            self.coalesced += 1
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.record_span(
+                    "server.coalesce", 0.0, category="server",
+                    label=request.label or request.module.name,
+                    fingerprint=request.fingerprint[:12],
+                    waiters=flight.waiters,
+                )
             return ticket
 
     def submit_many(self, requests: list[CompileRequest]) -> list[BatchTicket]:
@@ -154,27 +148,26 @@ class CoalescingBatcher:
         deadline = None
         while True:
             with self._lock:
-                if len(self._queue) >= self.max_batch or self._closed:
+                if len(self._queue) >= MAX_BATCH or self._closed:
                     break
                 if deadline is None:
-                    deadline = time.monotonic() + self.window_s
-                    remaining = self.window_s
+                    deadline = time.monotonic() + BATCH_WINDOW_S
+                    remaining = BATCH_WINDOW_S
                 else:
                     remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._wakeup.wait(timeout=remaining)
         with self._lock:
-            batch, self._queue = (self._queue[: self.max_batch],
-                                  self._queue[self.max_batch:])
+            batch = self._queue[:MAX_BATCH]
+            del self._queue[:MAX_BATCH]
             return batch
 
     def _run_batch(self, batch: list[BatchTicket]) -> None:
-        tracer = get_tracer()
-        with tracer.span(
+        waiters = sum(ticket.flight.waiters for ticket in batch)
+        with get_tracer().span(
             "server.batch", category="server",
-            points=len(batch),
-            coalesced_waiters=sum(t.waiters for t in batch) - len(batch),
+            points=len(batch), coalesced_waiters=waiters - len(batch),
         ):
             try:
                 results = self.service.sweep([t.request for t in batch])
@@ -188,13 +181,10 @@ class CoalescingBatcher:
             self.batches += 1
             self.batched_points += len(batch)
         for ticket, result in zip(batch, results):
-            # unindex *before* resolving: a new identical request after
-            # resolution must get a fresh compile ticket (which the
-            # service cache will answer instantly) rather than a stale one
-            with self._lock:
-                if self._pending.get(ticket.fingerprint) is ticket:
-                    del self._pending[ticket.fingerprint]
-            ticket.resolve(result)
+            # settling unindexes before it resolves: a new identical
+            # request after resolution gets a fresh flight (which the
+            # service cache answers instantly), not a finished one
+            self._flights.settle(ticket.fingerprint, ticket.flight, result)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -217,7 +207,5 @@ class CoalescingBatcher:
                 "batches": self.batches,
                 "batched_points": self.batched_points,
                 "queued": len(self._queue),
-                "pending": len(self._pending),
-                "window_s": self.window_s,
-                "max_batch": self.max_batch,
+                "pending": len(self._flights),
             }

@@ -63,6 +63,10 @@ __all__ = ["ServerConfig", "ReproServer"]
 #: server identity in `hello` responses
 SERVER_NAME = "repro.server"
 
+#: how long a connection handler waits for one request's results (a
+#: safety net: the compilers are fast, so it fires only on a hang)
+RESULT_TIMEOUT_S = 120.0
+
 
 @dataclass
 class ServerConfig:
@@ -78,11 +82,6 @@ class ServerConfig:
     max_queue_depth: int = 256
     quota_rate: float | None = None
     quota_burst: float | None = None
-    batch_window_s: float = 0.005
-    max_batch: int = 32
-    #: per-request result timeout at the connection handler (safety net;
-    #: None waits forever)
-    result_timeout_s: float | None = 120.0
     #: extra CompileService kwargs (retry/breaker/fault_plan/...)
     service_kwargs: dict[str, Any] = field(default_factory=dict)
 
@@ -140,11 +139,7 @@ class ReproServer:
             cache=cache, jobs=self.config.jobs,
             **self.config.service_kwargs,
         )
-        self.batcher = CoalescingBatcher(
-            self.service,
-            window_s=self.config.batch_window_s,
-            max_batch=self.config.max_batch,
-        )
+        self.batcher = CoalescingBatcher(self.service)
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             quota_rate=self.config.quota_rate,
@@ -337,8 +332,7 @@ class ReproServer:
                 return admission
             try:
                 tickets = self.batcher.submit_many(list(requests.values()))
-                results = [t.wait(self.config.result_timeout_s)
-                           for t in tickets]
+                results = [t.wait(RESULT_TIMEOUT_S) for t in tickets]
             finally:
                 self.admission.release(answered)
             for index, result in zip(requests, results):

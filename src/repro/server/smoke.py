@@ -108,8 +108,7 @@ class SmokeReport:
 def _probe_admission() -> bool:
     """A 4-deep daemon must *reject* an 8-point sweep — immediately,
     explicitly, with a 429 — never hang it or silently queue it."""
-    config = ServerConfig(port=0, jobs=1, max_queue_depth=4,
-                          batch_window_s=0.0)
+    config = ServerConfig(port=0, jobs=1, max_queue_depth=4)
     with ReproServer(config) as server:
         host, port = server.address
         with ServerClient(host, port, client_id="probe") as client:

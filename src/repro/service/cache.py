@@ -19,8 +19,8 @@ All operations are thread-safe (the scheduler's worker pool and the
 ``repro serve`` daemon's connection handlers share one cache).  The lock
 guards only *index* mutation — never pickling or file I/O: a
 multi-megabyte pickle landing on a slow disk must not stall every other
-client's lookups.  Disk publishes are atomic (``os.replace``), so
-lock-free readers never observe a partial entry.
+client's lookups.  Disk publishes are atomic (a temp file renamed into
+place), so lock-free readers never observe a partial entry.
 
 Two implementations share the contract:
 
@@ -35,18 +35,24 @@ Two implementations share the contract:
 Both accept ``peer_dirs``: read-only sibling stores (another daemon's
 cache directory, a shared warm seed) consulted on a local disk miss and
 copied through on a hit — the read-through peer mode of docs/SERVER.md.
+
+Both tiers build on :class:`DiskTier`, which the executor's plan tier
+shares; :class:`SingleFlight` is the one in-flight coalescer of the
+scheduler, the daemon's batcher and the executor's compile memo.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Hashable, NamedTuple
 
 #: returned by :meth:`ArtifactCache.get` on a miss (``None`` is a valid
 #: cached value in principle, so a dedicated sentinel keeps it unambiguous)
@@ -72,10 +78,122 @@ class Stored(NamedTuple):
     refused: bool
 
 
-def _read_stored(path: Path) -> Stored:
-    """The entry at *path*, unpickled once to validate (raises if not)."""
-    blob = path.read_bytes()
+def _decode_stored(blob: bytes) -> Stored:
+    """*blob* as an entry, unpickled once to validate (raises if not)."""
     return Stored(blob, isinstance(pickle.loads(blob), CachedRefusal))
+
+
+class Flight(Future):
+    """One key's in-flight work: a future shared by every caller that
+    joined it; ``waiters`` counts them, the leader included."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.waiters = 1
+
+
+class SingleFlight:
+    """Keyed single-flight: the first caller for a key leads, and every
+    caller that joins before the leader settles shares its outcome.
+
+    :meth:`join` returns ``(flight, leader)``; the leader does the work
+    and settles the flight, and the others wait on it (it is a
+    :class:`~concurrent.futures.Future`).  Settling unindexes the key
+    *before* it resolves the waiters, so a caller arriving after the
+    result starts a new flight (which the caller's cache answers)
+    instead of joining a finished one; and it is identity-guarded, so a
+    late settle never drops a newer flight for the same key.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._flights: dict[Hashable, Flight] = {}
+
+    def join(self, key: Hashable) -> tuple[Flight, bool]:
+        """The flight for *key* and whether this caller leads it."""
+        with self._lock:
+            flight = self._flights.get(key)
+            if flight is not None:
+                flight.waiters += 1
+                return flight, False
+            flight = self._flights[key] = Flight()
+            return flight, True
+
+    def settle(self, key: Hashable, flight: Flight, result: Any = None,
+               error: BaseException | None = None) -> None:
+        """Unindex *flight* (if it is still *key*'s), then resolve it
+        with *error* when given, else with *result*."""
+        with self._lock:
+            if self._flights.get(key) is flight:
+                del self._flights[key]
+        if error is not None:
+            flight.set_exception(error)
+        else:
+            flight.set_result(result)
+
+    def clear(self) -> None:
+        """Forget every flight; their leaders still settle their waiters."""
+        with self._lock:
+            self._flights.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._flights)
+
+
+class DiskTier:
+    """One directory of content-addressed files, ``<name><suffix>``.
+
+    Writes are best-effort and atomic: a temp file renamed into place,
+    so a reader never sees a partial entry and a full disk never fails
+    the caller.  Reads validate through a caller-supplied *decode*: an
+    entry that fails it is a miss, and a local one is unlinked so the
+    fresh entry replaces it.  A ``read_only`` tier (a peer's directory)
+    never deletes its entries.
+    """
+
+    def __init__(self, directory: str | os.PathLike[str], suffix: str,
+                 read_only: bool = False) -> None:
+        self.directory = Path(directory)
+        self.suffix = suffix
+        self.read_only = read_only
+
+    def _path(self, name: str) -> Path:
+        return self.directory / f"{name}{self.suffix}"
+
+    def __contains__(self, name: str) -> bool:
+        return self._path(name).exists()
+
+    def load(self, name: str, decode: Callable[[bytes], Any]) -> Any:
+        """``decode`` of the entry's bytes, or :data:`MISS`."""
+        path = self._path(name)
+        try:
+            return decode(path.read_bytes())
+        except FileNotFoundError:
+            return MISS
+        except Exception:
+            if not self.read_only:
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
+            return MISS
+
+    def store(self, name: str, data: bytes) -> bool:
+        """Publish *data* under *name*; False if the write failed."""
+        path = self._path(name)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            return False
+        return True
+
+    def clear(self) -> None:
+        for path in self.directory.glob(f"*{self.suffix}"):
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
 
 
 class CacheDirError(NotADirectoryError):
@@ -204,9 +322,13 @@ class ArtifactCache:
             raise ValueError("max_entries must be >= 1")
         self._lock = threading.RLock()
         self._entries: OrderedDict[str, Stored] = OrderedDict()
+        self._disk: DiskTier | None = None
         if self.cache_dir is not None:
             self.cache_dir = ensure_writable_dir(self.cache_dir)
+            self._disk = DiskTier(self.cache_dir, ".pkl")
         self.peer_dirs = tuple(Path(p) for p in self.peer_dirs)
+        self._peers = [DiskTier(p, ".pkl", read_only=True)
+                       for p in self.peer_dirs]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -232,28 +354,31 @@ class ArtifactCache:
                 return stored
         # the slow tiers run unlocked: unpickling a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
-        stored = self._disk_load(fingerprint)
-        if stored is not MISS:
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._install(fingerprint, stored)
-            return stored
-        stored = self._peer_load(fingerprint)
-        if stored is not MISS:
-            self._disk_write(fingerprint, stored.blob, count=False)
-            with self._lock:
-                self.stats.peer_hits += 1
-                self._install(fingerprint, stored)
-        return stored
+        if self._disk is not None:
+            stored = self._disk.load(fingerprint, _decode_stored)
+            if stored is not MISS:
+                with self._lock:
+                    self.stats.disk_hits += 1
+                    self._install(fingerprint, stored)
+                return stored
+        for peer in self._peers:
+            stored = peer.load(fingerprint, _decode_stored)
+            if stored is not MISS:
+                if self._disk is not None:
+                    self._disk.store(fingerprint, stored.blob)
+                with self._lock:
+                    self.stats.peer_hits += 1
+                    self._install(fingerprint, stored)
+                return stored
+        return MISS
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
             if fingerprint in self._entries:
                 return True
-        disk = self._disk_path(fingerprint)
-        if disk is not None and disk.exists():
+        if self._disk is not None and fingerprint in self._disk:
             return True
-        return any(path.exists() for path in self._peer_paths(fingerprint))
+        return any(fingerprint in peer for peer in self._peers)
 
     def __len__(self) -> int:
         with self._lock:
@@ -284,22 +409,21 @@ class ArtifactCache:
             self.stats.stores += 1
             self._install(fingerprint,
                           Stored(blob, isinstance(artifact, CachedRefusal)))
-        disk = self._disk_path(fingerprint)
-        if disk is None:
+        if self._disk is None:
             return
-        if disk.exists():
+        if fingerprint in self._disk:
             with self._lock:
                 self.stats.redundant_stores += 1
-            return
-        self._disk_write(fingerprint, blob)
+        elif self._disk.store(fingerprint, blob):
+            with self._lock:
+                self.stats.disk_stores += 1
 
     def clear(self, memory_only: bool = True) -> None:
         """Drop the memory tier (and the disk tier if asked)."""
         with self._lock:
             self._entries.clear()
-        if not memory_only and self.cache_dir is not None:
-            for path in Path(self.cache_dir).glob("*.pkl"):
-                path.unlink(missing_ok=True)
+        if not memory_only and self._disk is not None:
+            self._disk.clear()
 
     # -- internals -------------------------------------------------------------
 
@@ -309,52 +433,6 @@ class ArtifactCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def _disk_path(self, fingerprint: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return Path(self.cache_dir) / f"{fingerprint}.pkl"
-
-    def _peer_paths(self, fingerprint: str) -> Iterable[Path]:
-        for peer in self.peer_dirs:
-            yield Path(peer) / f"{fingerprint}.pkl"
-
-    def _disk_load(self, fingerprint: str) -> Stored | Any:
-        path = self._disk_path(fingerprint)
-        if path is None or not path.exists():
-            return MISS
-        try:
-            return _read_stored(path)
-        except Exception:
-            # a truncated/corrupt entry is a miss, not an error;
-            # drop it so the fresh artifact replaces it
-            path.unlink(missing_ok=True)
-            return MISS
-
-    def _peer_load(self, fingerprint: str) -> Stored | Any:
-        for path in self._peer_paths(fingerprint):
-            if not path.exists():
-                continue
-            try:
-                return _read_stored(path)
-            except Exception:
-                continue  # peers are read-only: never delete their entries
-        return MISS
-
-    def _disk_write(self, fingerprint: str, blob: bytes,
-                    count: bool = True) -> None:
-        path = self._disk_path(fingerprint)
-        if path is None:
-            return
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)  # atomic publish: readers never see partial
-            if count:
-                with self._lock:
-                    self.stats.disk_stores += 1
-        except Exception:
-            tmp.unlink(missing_ok=True)  # disk tier is best-effort
 
 
 class ShardedArtifactCache:

@@ -70,7 +70,7 @@ from ..faults.plan import FaultPlan, is_injected_fault, is_transient
 from ..ir.stmt import Module
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.spans import get_tracer
-from .cache import MISS, ArtifactCache, CachedRefusal
+from .cache import MISS, ArtifactCache, CachedRefusal, SingleFlight
 from .fingerprint import CompileRequest
 from .metrics import ServiceMetrics
 from .resilience import (
@@ -153,8 +153,7 @@ class CompileService:
             )
             self.cache = FaultyCacheAdapter(self.cache, fault_plan)
         self._pool: ThreadPoolExecutor | None = None
-        self._inflight: dict[str, Future] = {}
-        self._lock = threading.Lock()
+        self._flights = SingleFlight()
 
     # -- single compiles -------------------------------------------------------
 
@@ -300,19 +299,16 @@ class CompileService:
         future (and one compile)."""
         tracer = get_tracer()
         fingerprint = request.fingerprint
-        with self._lock:
-            existing = self._inflight.get(fingerprint)
-            if existing is not None and not existing.done():
-                self.metrics.record_dedup_hit()
-                if tracer.enabled:
-                    tracer.record_span(
-                        "service.dedup", 0.0, category="service",
-                        label=request.label or request.module.name,
-                        fingerprint=fingerprint[:12],
-                    )
-                return existing
-            future: Future = Future()
-            self._inflight[fingerprint] = future
+        future, leader = self._flights.join(fingerprint)
+        if not leader:
+            self.metrics.record_dedup_hit()
+            if tracer.enabled:
+                tracer.record_span(
+                    "service.dedup", 0.0, category="service",
+                    label=request.label or request.module.name,
+                    fingerprint=fingerprint[:12],
+                )
+            return future
         # the job span must parent under the *submitting* thread's span
         # (e.g. service.sweep) even when it runs on a pool thread, where
         # contextvars do not propagate — capture the parent here
@@ -541,8 +537,7 @@ class CompileService:
 
     def inflight_count(self) -> int:
         """Requests currently being compiled (the server's status view)."""
-        with self._lock:
-            return sum(1 for f in self._inflight.values() if not f.done())
+        return len(self._flights)
 
     def stats_snapshot(self) -> dict[str, Any]:
         """One structured snapshot of everything the service counts —
@@ -589,16 +584,14 @@ class CompileService:
                 span.set(queued_s=max(tracer.now_s() - queued_at, 0.0))
             try:
                 result = self.compile_request(request)
-            except Exception as exc:
+            except BaseException as exc:
                 span.set(status="error")
-                future.set_exception(exc)
+                self._flights.settle(request.fingerprint, future, error=exc)
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt still stops the caller
             else:
                 span.set(status="done")
-                future.set_result(result)
-            finally:
-                with self._lock:
-                    if self._inflight.get(request.fingerprint) is future:
-                        del self._inflight[request.fingerprint]
+                self._flights.settle(request.fingerprint, future, result)
 
     def _gather(self, request: CompileRequest, future: Future,
                 strict: bool) -> Any:

@@ -247,6 +247,8 @@ class TestExecSweep:
     @pytest.mark.parametrize("argv", [
         ["exec-sweep", "--exec-jobs", "2"],
         ["heatmap", "--hedge", "0.1"],
+        ["serve", "--batch-window", "0.1"],
+        ["serve", "--max-batch", "4"],
     ])
     def test_removed_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

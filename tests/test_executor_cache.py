@@ -206,16 +206,31 @@ class TestPersistentPlans:
         fresh = json.loads(path.read_text())
         assert fresh["schema"] == PLAN_SCHEMA
 
-    def test_corrupt_plan_is_a_miss(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", [None, "x = 1", "def _kernel(:"],
+                             ids=["not-json", "no-kernel", "syntax-error"])
+    def test_corrupt_plan_is_a_miss(self, tmp_path, monkeypatch, source):
+        """Any plan that fails to load is dropped and recompiled; the key
+        never stays wedged on the bad file."""
         configure_plan_cache(tmp_path / "plans")
         kernel = _kernel()
         compile_kernel_fn(kernel, None, "vector")
         path, = plan_cache_dir().glob("*.json")
-        path.write_text("{not json")
+        payload = json.loads(path.read_text())
+        assert payload["schema"] == PLAN_SCHEMA
+        path.write_text("{not json" if source is None
+                        else json.dumps({**payload, "source": source}))
         clear_kernel_cache(memory_only=True)
         calls = _counting_codegen(monkeypatch)
         compile_kernel_fn(kernel, None, "vector")
         assert len(calls) == 1
+        # the bad file was replaced by a fresh plan that loads warm
+        assert json.loads(path.read_text()) == payload
+        clear_kernel_cache(memory_only=True)
+        reset_registry()
+        fn, _ = compile_kernel_fn(kernel, None, "vector")
+        assert len(calls) == 1
+        counters = get_registry().snapshot()["counters"]
+        assert counters["executor.plan_disk_hit"] == 1
 
     def test_clear_kernel_cache_wipes_disk_tier(self, tmp_path):
         configure_plan_cache(tmp_path / "plans")

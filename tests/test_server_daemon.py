@@ -7,6 +7,7 @@ connection survival through malformed frames, and the endpoint surface.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -48,9 +49,19 @@ def make_server(**overrides) -> ReproServer:
 def test_n_identical_concurrent_requests_compile_exactly_once():
     """The coalescing contract: N clients asking for the same fingerprint
     while it is in flight share ONE compile."""
+    from repro.core.method import compile_stage
+
     clients = 4
-    # a wide batch window so every client lands in the first batch
-    server = make_server(batch_window_s=0.25, max_batch=16)
+    release = threading.Event()
+
+    def held_compile(request):
+        # the leader's compile stays in flight until every other client
+        # has joined its flight
+        assert release.wait(30)
+        return compile_stage(request.module, request.compiler,
+                             request.target, request.flags)
+
+    server = make_server(service_kwargs={"compile_fn": held_compile})
     try:
         host, port = server.address
         barrier = threading.Barrier(clients)
@@ -71,6 +82,11 @@ def test_n_identical_concurrent_requests_compile_exactly_once():
                    for i in range(clients)]
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 30
+        while (server.batcher.snapshot()["coalesced"] < clients - 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        release.set()
         for thread in threads:
             thread.join(timeout=30)
 
@@ -109,7 +125,7 @@ def test_sweep_through_daemon_matches_in_process_byte_for_byte():
 # --------------------------------------------------------------------------
 
 def test_oversized_sweep_is_rejected_not_queued():
-    server = make_server(max_queue_depth=3, batch_window_s=0.0)
+    server = make_server(max_queue_depth=3)
     try:
         host, port = server.address
         with ServerClient(host, port, client_id="greedy") as client:
@@ -127,8 +143,7 @@ def test_oversized_sweep_is_rejected_not_queued():
 
 
 def test_per_client_quota_rejects_with_429():
-    server = make_server(quota_rate=0.001, quota_burst=2.0,
-                         batch_window_s=0.0)
+    server = make_server(quota_rate=0.001, quota_burst=2.0)
     try:
         host, port = server.address
         with ServerClient(host, port, client_id="burster") as client:
@@ -369,8 +384,7 @@ def test_cached_refusal_on_the_hit_path_matches_the_sweep_slot():
 
 
 def test_miss_probe_is_not_charged_to_the_quota():
-    server = make_server(quota_rate=0.001, quota_burst=1.0,
-                         batch_window_s=0.0)
+    server = make_server(quota_rate=0.001, quota_burst=1.0)
     try:
         host, port = server.address
         probe = protocol.point_to_wire(demo_request(), source=False)
