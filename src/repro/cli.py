@@ -139,7 +139,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     print()
     print(f"digest: {report.digest()}")
     _print_service_stats(service)
-    _maybe_publish(service)
     if service is not None:
         service.close()
     return 0
@@ -170,23 +169,41 @@ def _resilience_from_args(args: argparse.Namespace) -> dict:
     return kwargs
 
 
+def _build_service(args: argparse.Namespace, resilience: dict):
+    """A CompileService for --jobs/--cache-dir and *resilience* whose
+    service and cache counters live in the process-wide registry, so a
+    traced run exports them."""
+    from .service import CompileService
+    from .service.cache import ArtifactCache
+    from .telemetry import get_registry
+
+    registry = get_registry()
+    return CompileService(
+        cache=ArtifactCache(cache_dir=args.cache_dir, registry=registry),
+        jobs=args.jobs, registry=registry, **resilience,
+    )
+
+
 def _service_from_args(args: argparse.Namespace):
     """Build a CompileService from --jobs/--cache-dir plus the resilience
     flags (None if everything is at its default)."""
-    from .service import CompileService
-    from .service.cache import ArtifactCache
     from .telemetry import get_tracer
 
     resilience = _resilience_from_args(args)
-    # a traced run always gets an explicit service so its metrics can be
-    # published into the exported trace
+    # a traced run always gets an explicit service, so its counters are
+    # in the exported trace
     if (args.jobs == 1 and args.cache_dir is None and not resilience
             and not get_tracer().enabled):
         return None
-    return CompileService(
-        cache=ArtifactCache(cache_dir=args.cache_dir), jobs=args.jobs,
-        **resilience,
-    )
+    return _build_service(args, resilience)
+
+
+def _daemon_service_kwargs(args: argparse.Namespace) -> dict:
+    """A daemon's CompileService keyword arguments: the resilience flags,
+    and the process-wide registry for every daemon counter."""
+    from .telemetry import get_registry
+
+    return {**_resilience_from_args(args), "registry": get_registry()}
 
 
 def _print_service_stats(service) -> None:
@@ -195,25 +212,15 @@ def _print_service_stats(service) -> None:
         print("\n".join(service.report_lines()))
 
 
-def _maybe_publish(service) -> None:
-    """When tracing is on, publish the run's service/cache counters into
-    the process-wide registry so they ride along in the exported trace."""
-    from .telemetry import get_registry, get_tracer
-
-    if service is not None and get_tracer().enabled:
-        service.publish(get_registry())
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS
-    from .service import configure_default_service, get_default_service
+    from .service import configure_default_service
     from .telemetry import get_tracer
 
     resilience = _resilience_from_args(args)
-    if args.jobs != 1 or args.cache_dir is not None or resilience:
-        # the experiment drivers share the process-wide default service
-        configure_default_service(jobs=args.jobs, cache_dir=args.cache_dir,
-                                  **resilience)
+    # the experiment drivers share the process-wide default service
+    service = configure_default_service(jobs=args.jobs,
+                                        cache_dir=args.cache_dir, **resilience)
 
     names = list(ALL_EXPERIMENTS) if "all" in args.ids else args.ids
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
@@ -230,8 +237,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print()
         failures += len(result.failed_claims())
     if args.jobs != 1 or args.cache_dir is not None or resilience:
-        _print_service_stats(get_default_service())
-    _maybe_publish(get_default_service())
+        _print_service_stats(service)
     return 1 if failures else 0
 
 
@@ -249,7 +255,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
                           ladder=ladder)
     print(heatmap.render())
     _print_service_stats(service)
-    _maybe_publish(service)
     return 0
 
 
@@ -264,17 +269,12 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     from .core.ladder import normalize_ladder
     from .devices import K40, PHI_5110P
     from .kernels import get_benchmark
-    from .service import CompileService
-    from .service.cache import ArtifactCache
 
     bench = get_benchmark("lud")
     ladder = normalize_ladder(args.ladder)
     # tuners always share one service: the exhaustive sweep, the hill
     # climber, and the portable tuner revisit the same configurations
-    service = CompileService(
-        cache=ArtifactCache(cache_dir=args.cache_dir), jobs=args.jobs,
-        **_resilience_from_args(args),
-    )
+    service = _build_service(args, _resilience_from_args(args))
     if args.jobs > 1:
         # fan the whole candidate grid over the worker pool up front;
         # the (serial) tuning loops below then run compile-free
@@ -294,19 +294,13 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         print(f"  {name}: {seconds:.4g}s")
     if args.jobs != 1 or args.cache_dir is not None:
         _print_service_stats(service)
-    _maybe_publish(service)
     return 0
 
 
 def _cmd_difftest(args: argparse.Namespace) -> int:
     from .difftest import replay_file, run_difftest
-    from .service import CompileService
-    from .service.cache import ArtifactCache
 
-    service = CompileService(
-        cache=ArtifactCache(cache_dir=args.cache_dir), jobs=args.jobs,
-        **_resilience_from_args(args),
-    )
+    service = _build_service(args, _resilience_from_args(args))
     if args.replay is not None:
         result = replay_file(args.replay, service)
         status = "EXPLAINED" if result.explained else "UNEXPLAINED"
@@ -314,7 +308,6 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
         for detail in result.unexplained_details():
             print(f"  {detail}")
         _print_service_stats(service)
-        _maybe_publish(service)
         return 0 if result.explained else 1
 
     seeds = range(args.start, args.start + args.seeds)
@@ -329,13 +322,11 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
             print(f"  reproducer: {case.reproducer}")
     if args.jobs != 1 or args.cache_dir is not None:
         _print_service_stats(service)
-    _maybe_publish(service)
     return 1 if report.unexplained else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import ReproServer, ServerConfig, run_server_smoke
-    from .telemetry import get_registry, get_tracer
 
     config = ServerConfig(
         host=args.host, port=args.port, jobs=args.jobs,
@@ -343,7 +334,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         peer_dirs=tuple(args.peer_dir or ()),
         max_queue_depth=args.queue_depth,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        service_kwargs=_resilience_from_args(args),
+        service_kwargs=_daemon_service_kwargs(args),
     )
     if args.self_test:
         report = run_server_smoke(clients=args.clients, points=args.points,
@@ -362,8 +353,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("draining...", file=sys.stderr)
     finally:
         server.drain()
-        if get_tracer().enabled:
-            server.publish(get_registry())
         print("\n".join(server.report_lines()))
     return 0
 
@@ -379,7 +368,7 @@ def _client_connection(args: argparse.Namespace):
 
     if args.spawn:
         config = ServerConfig(jobs=args.jobs, cache_dir=args.cache_dir,
-                              service_kwargs=_resilience_from_args(args))
+                              service_kwargs=_daemon_service_kwargs(args))
 
         @contextlib.contextmanager
         def spawned():
@@ -472,7 +461,6 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(f"sweep: {len(result['tasks'])} tasks in "
           f"{result['seconds']:.3f}s", file=sys.stderr)
-    _maybe_publish(service)
     return 0
 
 

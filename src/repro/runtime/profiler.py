@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..telemetry.registry import MetricsRegistry, Reportable
+from ..telemetry.registry import Reportable
 from ..telemetry.spans import get_tracer
 
 
@@ -42,7 +42,7 @@ class ProfileEvent:
 class Profiler:
     events: list[ProfileEvent] = field(default_factory=list)
     #: an attached compile-service view (any :class:`Reportable`, e.g.
-    #: :class:`repro.service.CompileService` or ``ServiceMetrics``); typed
+    #: :class:`repro.service.CompileService` or its ``metrics``); typed
     #: through the telemetry protocol so the runtime layer stays
     #: independent of the service layer
     service: Reportable | None = None
@@ -124,23 +124,6 @@ class Profiler:
             event.nbytes
             for event in self.snapshot_events()
             if event.kind in ("h2d", "d2h")
-        )
-
-    def publish(self, registry: MetricsRegistry,
-                prefix: str = "runtime") -> None:
-        """Publish per-kind counts/durations and transfer bytes into the
-        unified telemetry registry (gauges: idempotent)."""
-        events = self.snapshot_events()
-        counts: dict[str, int] = {}
-        seconds: dict[str, float] = {}
-        for event in events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-            seconds[event.kind] = seconds.get(event.kind, 0.0) + event.seconds
-        for kind in sorted(counts):
-            registry.gauge(f"{prefix}.{kind}.events").set(counts[kind])
-            registry.gauge(f"{prefix}.{kind}.seconds").set(seconds[kind])
-        registry.gauge(f"{prefix}.transfer_bytes").set(
-            sum(e.nbytes for e in events if e.kind in ("h2d", "d2h"))
         )
 
     def report(self) -> str:

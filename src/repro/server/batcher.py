@@ -10,7 +10,8 @@ compile runs:
   compile.  The index is a :class:`~repro.service.cache.SingleFlight`,
   the same primitive as the scheduler's in-flight dedup, but this one
   spans *connections*, not just threads, and it counts (``coalesced``)
-  so the savings are visible in ``server.*`` gauges.
+  so the savings are visible in the service registry's ``server.*``
+  counters.
 * **micro-batching** — admitted points are collected for up to
   :data:`BATCH_WINDOW_S` (or :data:`MAX_BATCH` points, whichever first)
   and submitted as one :meth:`CompileService.sweep`, so a burst of
@@ -87,11 +88,9 @@ class CoalescingBatcher:
         #: the coalescing index
         self._flights = SingleFlight()
         self._closed = False
-        # counters (server stats)
-        self.submitted = 0
-        self.coalesced = 0
-        self.batches = 0
-        self.batched_points = 0
+        #: ``server.*`` counters, in the service's registry
+        self._count = service.registry.counters(
+            "server", ("submitted", "coalesced", "batches", "batched_points"))
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-server-batcher",
             daemon=True,
@@ -106,14 +105,14 @@ class CoalescingBatcher:
         with self._lock:
             if self._closed:
                 raise RuntimeError("batcher is closed")
-            self.submitted += 1
+            self._count["submitted"].inc()
             flight, leader = self._flights.join(request.fingerprint)
             ticket = BatchTicket(request, flight)
             if leader:
                 self._queue.append(ticket)
                 self._wakeup.notify()
                 return ticket
-            self.coalesced += 1
+            self._count["coalesced"].inc()
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.record_span(
@@ -177,9 +176,8 @@ class CoalescingBatcher:
                              t.fingerprint, "error", str(exc))
                     for t in batch
                 ]
-        with self._lock:
-            self.batches += 1
-            self.batched_points += len(batch)
+        self._count["batches"].inc()
+        self._count["batched_points"].inc(len(batch))
         for ticket, result in zip(batch, results):
             # settling unindexes before it resolves: a new identical
             # request after resolution gets a fresh flight (which the
@@ -200,12 +198,8 @@ class CoalescingBatcher:
         return not self._dispatcher.is_alive()
 
     def snapshot(self) -> dict[str, int | float]:
+        snap = {name: counter.value for name, counter in self._count.items()}
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "coalesced": self.coalesced,
-                "batches": self.batches,
-                "batched_points": self.batched_points,
-                "queued": len(self._queue),
-                "pending": len(self._flights),
-            }
+            snap["queued"] = len(self._queue)
+        snap["pending"] = len(self._flights)
+        return snap

@@ -33,8 +33,10 @@ tagged ``client=<id>``, ``lane=client:<id>`` and ``cache=hit|miss`` —
 the Chrome/Perfetto export groups ``lane``-tagged spans into one
 synthetic timeline lane per client, so a daemon trace reads as
 per-client swimlanes no matter which connection threads served them.
-Counters publish as ``server.*`` gauges next to the existing
-``service.*`` / ``cache.*`` families.
+Every counter — the daemon's, the batcher's and admission's
+``server.*``, the service's ``service.*``/``faults.*`` and the cache's
+``cache.*`` — lives in the service's registry, so a traced ``repro
+serve`` exports them all.
 
 Shutdown is graceful by contract: ``drain()`` flips admission to
 503-everything-new, waits for admitted work to finish, flushes the
@@ -82,7 +84,7 @@ class ServerConfig:
     max_queue_depth: int = 256
     quota_rate: float | None = None
     quota_burst: float | None = None
-    #: extra CompileService kwargs (retry/breaker/fault_plan/...)
+    #: extra CompileService kwargs (retry/breaker/fault_plan/registry/...)
     service_kwargs: dict[str, Any] = field(default_factory=dict)
 
 
@@ -94,7 +96,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         daemon = self.server.daemon
-        daemon.connections_total += 1
+        daemon._count["connections"].inc()
         while True:
             try:
                 line = self.rfile.readline()
@@ -129,26 +131,29 @@ class ReproServer:
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
+        service_kwargs = {"registry": MetricsRegistry(),
+                          **self.config.service_kwargs}
+        registry = service_kwargs["registry"]
         cache = ShardedArtifactCache(
             shards=self.config.shards,
             max_entries=self.config.max_entries,
             cache_dir=self.config.cache_dir,
             peer_dirs=self.config.peer_dirs,
+            registry=registry,
         )
         self.service = CompileService(
-            cache=cache, jobs=self.config.jobs,
-            **self.config.service_kwargs,
+            cache=cache, jobs=self.config.jobs, **service_kwargs,
         )
         self.batcher = CoalescingBatcher(self.service)
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             quota_rate=self.config.quota_rate,
             quota_burst=self.config.quota_burst,
+            registry=registry,
         )
         self.started_at = time.monotonic()
-        self.requests_total = 0
-        self.connections_total = 0
-        self.protocol_errors = 0
+        self._count = registry.counters(
+            "server", ("requests", "connections", "protocol_errors"))
         self._tcp: _TcpServer | None = None
         self._thread: threading.Thread | None = None
         self._stopped = threading.Event()
@@ -216,14 +221,14 @@ class ReproServer:
                 message = protocol.decode_frame(line)
                 op, client = protocol.validate_request(message)
             except protocol.ProtocolError as exc:
-                self.protocol_errors += 1
+                self._count["protocol_errors"].inc()
                 span.set(status="bad-request")
                 return protocol.error_response(None, protocol.BAD_REQUEST,
                                                "bad-request", str(exc))
             span.set(label=client, client=client, lane=f"client:{client}",
                      op=op)
             request_id = message.get("id")
-            self.requests_total += 1
+            self._count["requests"].inc()
             try:
                 if op == "hello":
                     return protocol.ok_response(request_id, **self._hello())
@@ -249,7 +254,7 @@ class ReproServer:
                     return self._handle_sweep(request_id, client, message,
                                               span)
             except protocol.ProtocolError as exc:
-                self.protocol_errors += 1
+                self._count["protocol_errors"].inc()
                 span.set(status="bad-request")
                 return protocol.error_response(request_id,
                                                protocol.BAD_REQUEST,
@@ -359,6 +364,11 @@ class ReproServer:
             "max_queue_depth": self.config.max_queue_depth,
         }
 
+    @property
+    def protocol_errors(self) -> int:
+        """Frames answered 400."""
+        return self._count["protocol_errors"].value
+
     def status(self) -> dict[str, Any]:
         """The cheap liveness view (queue, drain, uptime)."""
         return {
@@ -367,47 +377,27 @@ class ReproServer:
             "queue": self.admission.snapshot(),
             "batcher": self.batcher.snapshot(),
             "inflight": self.service.inflight_count(),
-            "connections_total": self.connections_total,
-            "requests_total": self.requests_total,
+            "connections_total": self._count["connections"].value,
+            "requests_total": self._count["requests"].value,
             "protocol_errors": self.protocol_errors,
         }
 
     def stats(self) -> dict[str, Any]:
-        """The full counter dump: service + cache (+ per shard) + server."""
+        """The full counter dump: service + cache + server."""
         snap = self.service.stats_snapshot()
         snap["server"] = self.status()
-        cache = self.service.cache
-        shard_fn = getattr(cache, "shard_snapshot", None)
-        if shard_fn is not None:
-            snap["cache_shards"] = shard_fn()
         return snap
-
-    def publish(self, registry: MetricsRegistry) -> None:
-        """Publish ``server.*`` gauges (plus the service/cache families)
-        into the unified telemetry registry."""
-        self.service.publish(registry)
-        for name, value in self.batcher.snapshot().items():
-            if isinstance(value, (int, float)):
-                registry.gauge(f"server.{name}").set(float(value))
-        admission = self.admission.snapshot()
-        for name in ("depth", "admitted", "rejected_queue", "rejected_quota",
-                     "rejected_draining"):
-            registry.gauge(f"server.{name}").set(float(admission[name]))
-        registry.gauge("server.requests").set(float(self.requests_total))
-        registry.gauge("server.connections").set(float(self.connections_total))
-        registry.gauge("server.protocol_errors").set(
-            float(self.protocol_errors))
 
     def report_lines(self) -> list[str]:
         """Human summary (the CLI prints this on drain)."""
-        batch = self.batcher.snapshot()
-        admission = self.admission.snapshot()
+        status = self.status()
+        batch, admission = status["batcher"], status["queue"]
         lines = [
             "-- compile server --",
             (
-                f"requests {self.requests_total} over "
-                f"{self.connections_total} connections "
-                f"({self.protocol_errors} protocol errors)"
+                f"requests {status['requests_total']} over "
+                f"{status['connections_total']} connections "
+                f"({status['protocol_errors']} protocol errors)"
             ),
             (
                 f"batching: {batch['batches']} batches / "

@@ -103,6 +103,8 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("frame nests too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(message).__name__}"

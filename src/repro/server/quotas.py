@@ -20,7 +20,9 @@ clients distinguish "busy, retry" (429) from "going away, go elsewhere"
 
 Every decision is returned as an :class:`Admission` value, never an
 exception: the daemon turns refusals into protocol error frames, and the
-counters (admitted / rejected per reason) publish as ``server.*`` gauges.
+decisions are counted (admitted points, rejections per reason) as
+``server.*`` counters in the controller's registry — the daemon's
+service registry when the daemon builds it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import threading
 from dataclasses import dataclass
 
 from ..service.resilience import Clock, SystemClock
+from ..telemetry.registry import MetricsRegistry
 
 __all__ = ["Admission", "AdmissionController", "TokenBucket"]
 
@@ -107,6 +110,7 @@ class AdmissionController:
         quota_rate: float | None = None,
         quota_burst: float | None = None,
         clock: Clock | None = None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -122,11 +126,9 @@ class AdmissionController:
         self._draining = False
         self._idle = threading.Condition(self._lock)
         self._buckets: dict[str, TokenBucket] = {}
-        # counters (read by the server's stats endpoint / gauges)
-        self.admitted = 0
-        self.rejected_queue = 0
-        self.rejected_quota = 0
-        self.rejected_draining = 0
+        self._count = (registry or MetricsRegistry()).counters("server", (
+            "admitted", "rejected_queue", "rejected_quota",
+            "rejected_draining"))
 
     # -- the gate --------------------------------------------------------------
 
@@ -135,12 +137,12 @@ class AdmissionController:
         points = max(1, int(points))
         with self._lock:
             if self._draining:
-                self.rejected_draining += 1
+                self._count["rejected_draining"].inc()
                 return Admission.refuse(
                     "draining", "server is draining; no new work accepted"
                 )
             if self._depth + points > self.max_queue_depth:
-                self.rejected_queue += 1
+                self._count["rejected_queue"].inc()
                 return Admission.refuse(
                     "queue-full",
                     f"queue depth {self._depth} + {points} would exceed "
@@ -148,7 +150,7 @@ class AdmissionController:
                 )
             bucket = self._bucket(client)
             if bucket is not None and not bucket.try_spend(float(points)):
-                self.rejected_quota += 1
+                self._count["rejected_quota"].inc()
                 return Admission.refuse(
                     "quota",
                     f"client {client!r} is over its rate quota "
@@ -156,7 +158,7 @@ class AdmissionController:
                     f"available)",
                 )
             self._depth += points
-            self.admitted += points
+            self._count["admitted"].inc(points)
             return Admission.ok()
 
     def release(self, points: int = 1) -> None:
@@ -212,10 +214,7 @@ class AdmissionController:
                 "depth": self._depth,
                 "max_queue_depth": self.max_queue_depth,
                 "draining": self._draining,
-                "admitted": self.admitted,
-                "rejected_queue": self.rejected_queue,
-                "rejected_quota": self.rejected_quota,
-                "rejected_draining": self.rejected_draining,
+                **{name: c.value for name, c in self._count.items()},
                 "quota_rate": self.quota_rate,
                 "quota_burst": self.quota_burst,
                 "client_tokens": clients,

@@ -8,8 +8,9 @@ points.  This package turns those repeated compiles into a service:
 * :mod:`.fingerprint` — stable content addresses of compile requests;
 * :mod:`.cache` — two-tier (LRU memory + optional on-disk) artifact cache;
 * :mod:`.scheduler` — :class:`CompileService`: dedup, worker pool,
-  deterministic batch results, structured per-point errors;
-* :mod:`.metrics` — request/hit/latency counters, surfaced through
+  deterministic batch results, structured per-point errors; its
+  request/hit/latency counters live in a
+  :class:`repro.telemetry.MetricsRegistry` and surface through
   :meth:`repro.runtime.profiler.Profiler.report`;
 * :mod:`.resilience` — retry policies with deterministic backoff,
   simulated clocks, per-target circuit breakers, and the sweep
@@ -23,7 +24,6 @@ from .cache import (
     MISS,
     ArtifactCache,
     CacheDirError,
-    CacheStats,
     ShardedArtifactCache,
     ensure_writable_dir,
     shard_prefix,
@@ -35,7 +35,6 @@ from .fingerprint import (
     fingerprint_parts,
     fingerprint_request,
 )
-from .metrics import ServiceMetrics
 from .resilience import (
     DEFAULT_FALLBACKS,
     CircuitBreaker,
@@ -57,7 +56,6 @@ __all__ = [
     "ArtifactCache",
     "COMPILER_VERSIONS",
     "CacheDirError",
-    "CacheStats",
     "ShardedArtifactCache",
     "ensure_writable_dir",
     "shard_prefix",
@@ -69,7 +67,6 @@ __all__ = [
     "JobError",
     "MISS",
     "RetryPolicy",
-    "ServiceMetrics",
     "SimClock",
     "SweepJournal",
     "SystemClock",

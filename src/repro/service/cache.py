@@ -54,6 +54,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Hashable, NamedTuple
 
+from ..telemetry.registry import CounterView, MetricsRegistry
+
 #: returned by :meth:`ArtifactCache.get` on a miss (``None`` is a valid
 #: cached value in principle, so a dedicated sentinel keeps it unambiguous)
 MISS = object()
@@ -245,65 +247,27 @@ def shard_prefix(fingerprint: str) -> str:
     return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:_PREFIX_LEN]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache instance."""
+class CacheCounters(CounterView):
+    """A cache's ``cache.*`` counters.  ``peer_hits`` are read-through
+    hits from a peer directory; ``redundant_stores`` are skipped ``put``
+    calls for an already-stored fingerprint (see :meth:`ArtifactCache.put`).
+    """
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    #: read-through hits served from a peer directory (and copied into
-    #: the local disk tier)
-    peer_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    stores: int = 0
-    disk_stores: int = 0
-    #: ``put`` calls for a fingerprint that was already stored — e.g. a
-    #: timed-out worker's discarded result landing after a retry already
-    #: published the artifact.  Skipped, never re-written.
-    redundant_stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits + self.peer_hits
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
+    FIELDS = {name: f"cache.{name}" for name in (
+        "memory_hits", "disk_hits", "peer_hits", "misses", "evictions",
+        "stores", "disk_stores", "redundant_stores",
+    )}
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
+        return self.snapshot()["hit_rate"]
 
     def snapshot(self) -> dict[str, int | float]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "peer_hits": self.peer_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stores": self.stores,
-            "disk_stores": self.disk_stores,
-            "redundant_stores": self.redundant_stores,
-            "hit_rate": self.hit_rate,
-        }
-
-    def add(self, other: "CacheStats") -> None:
-        """Accumulate *other*'s counters (shard aggregation)."""
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.peer_hits += other.peer_hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.stores += other.stores
-        self.disk_stores += other.disk_stores
-        self.redundant_stores += other.redundant_stores
-
-    def publish(self, registry, prefix: str = "cache") -> None:
-        """Publish the tier counters into a
-        :class:`repro.telemetry.MetricsRegistry` (gauges: idempotent)."""
-        for name, value in self.snapshot().items():
-            registry.gauge(f"{prefix}.{name}").set(float(value))
+        snap = super().snapshot()
+        hits = snap["memory_hits"] + snap["disk_hits"] + snap["peer_hits"]
+        requests = hits + snap["misses"]
+        snap["hit_rate"] = hits / requests if requests else 0.0
+        return snap
 
 
 @dataclass
@@ -315,11 +279,14 @@ class ArtifactCache:
     #: read-only sibling stores consulted on a local disk miss; a hit is
     #: copied through into the local tiers (never written back)
     peer_dirs: tuple[str | os.PathLike[str], ...] = ()
-    stats: CacheStats = field(default_factory=CacheStats)
+    #: where the ``cache.*`` counters live (:attr:`stats` reads them)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry,
+                                      repr=False)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
+        self._count = self.registry.counters("cache", CacheCounters.FIELDS)
         self._lock = threading.RLock()
         self._entries: OrderedDict[str, Stored] = OrderedDict()
         self._disk: DiskTier | None = None
@@ -336,8 +303,7 @@ class ArtifactCache:
         """A fresh unpickled copy of the stored artifact, or :data:`MISS`."""
         stored = self.peek(fingerprint)
         if stored is MISS:
-            with self._lock:
-                self.stats.misses += 1
+            self._count["misses"].inc()
             return MISS
         return pickle.loads(stored.blob)
 
@@ -350,15 +316,15 @@ class ArtifactCache:
             stored = self._entries.get(fingerprint)
             if stored is not None:
                 self._entries.move_to_end(fingerprint)
-                self.stats.memory_hits += 1
+                self._count["memory_hits"].inc()
                 return stored
         # the slow tiers run unlocked: unpickling a large artifact (or a
         # peer NFS read) must not stall other fingerprints' lookups
         if self._disk is not None:
             stored = self._disk.load(fingerprint, _decode_stored)
             if stored is not MISS:
+                self._count["disk_hits"].inc()
                 with self._lock:
-                    self.stats.disk_hits += 1
                     self._install(fingerprint, stored)
                 return stored
         for peer in self._peers:
@@ -366,8 +332,8 @@ class ArtifactCache:
             if stored is not MISS:
                 if self._disk is not None:
                     self._disk.store(fingerprint, stored.blob)
+                self._count["peer_hits"].inc()
                 with self._lock:
-                    self.stats.peer_hits += 1
                     self._install(fingerprint, stored)
                 return stored
         return MISS
@@ -403,20 +369,20 @@ class ArtifactCache:
             raise pickle.PicklingError(
                 f"artifact {fingerprint} cannot be pickled: {exc}") from exc
         with self._lock:
-            if fingerprint in self._entries:
-                self.stats.redundant_stores += 1
-                return
-            self.stats.stores += 1
-            self._install(fingerprint,
-                          Stored(blob, isinstance(artifact, CachedRefusal)))
+            redundant = fingerprint in self._entries
+            if not redundant:
+                self._install(fingerprint, Stored(
+                    blob, isinstance(artifact, CachedRefusal)))
+        if redundant:
+            self._count["redundant_stores"].inc()
+            return
+        self._count["stores"].inc()
         if self._disk is None:
             return
         if fingerprint in self._disk:
-            with self._lock:
-                self.stats.redundant_stores += 1
+            self._count["redundant_stores"].inc()
         elif self._disk.store(fingerprint, blob):
-            with self._lock:
-                self.stats.disk_stores += 1
+            self._count["disk_stores"].inc()
 
     def clear(self, memory_only: bool = True) -> None:
         """Drop the memory tier (and the disk tier if asked)."""
@@ -432,7 +398,12 @@ class ArtifactCache:
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            self._count["evictions"].inc()
+
+    @property
+    def stats(self) -> CacheCounters:
+        """The ``cache.*`` counters, read from :attr:`registry`."""
+        return CacheCounters(self.registry)
 
 
 class ShardedArtifactCache:
@@ -453,10 +424,13 @@ class ShardedArtifactCache:
         max_entries: int = 512,
         cache_dir: str | os.PathLike[str] | None = None,
         peer_dirs: tuple[str | os.PathLike[str], ...] = (),
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
+        #: shared by every shard, so :attr:`stats` is already the total
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.cache_dir = (
             ensure_writable_dir(cache_dir) if cache_dir is not None else None
         )
@@ -473,6 +447,7 @@ class ShardedArtifactCache:
                                     for peer in self.peer_dirs)
                         if p is not None
                     ),
+                    registry=self.registry,
                 )
             )
 
@@ -507,14 +482,6 @@ class ShardedArtifactCache:
             shard.clear(memory_only=memory_only)
 
     @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across every shard (a fresh snapshot
-        object: mutating it does not touch any shard)."""
-        merged = CacheStats()
-        for shard in self._shards:
-            merged.add(shard.stats)
-        return merged
-
-    def shard_snapshot(self) -> list[dict[str, int | float]]:
-        """Per-shard counter snapshots (the server's stats endpoint)."""
-        return [shard.stats.snapshot() for shard in self._shards]
+    def stats(self) -> CacheCounters:
+        """The ``cache.*`` counters of every shard (one shared registry)."""
+        return CacheCounters(self.registry)

@@ -150,8 +150,6 @@ class CircuitBreaker:
         default_factory=dict, repr=False
     )
     _open: set = field(default_factory=set, repr=False)
-    trips: int = 0
-    closes: int = 0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -164,20 +162,19 @@ class CircuitBreaker:
 
     def on_result(self, key: tuple[str, str], failed: bool) -> str | None:
         """Advance the breaker; returns ``"tripped"``/``"closed"`` on a
-        state transition, else ``None``."""
+        state transition, else ``None`` (the service counts the
+        transitions)."""
         with self._lock:
             if failed:
                 count = self._consecutive.get(key, 0) + 1
                 self._consecutive[key] = count
                 if count >= self.failure_threshold and key not in self._open:
                     self._open.add(key)
-                    self.trips += 1
                     return "tripped"
                 return None
             self._consecutive[key] = 0
             if key in self._open:
                 self._open.discard(key)
-                self.closes += 1
                 return "closed"
             return None
 
@@ -193,26 +190,7 @@ class CircuitBreaker:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                "open": sorted("-".join(k) for k in self._open),
-                "trips": self.trips,
-                "closes": self.closes,
-            }
-
-    def publish(self, registry, prefix: str = "faults") -> None:
-        """Publish per-key open/closed state and transition counts as
-        gauges (idempotent) into a
-        :class:`repro.telemetry.MetricsRegistry`."""
-        with self._lock:
-            keys = set(self._consecutive) | self._open
-            open_keys = set(self._open)
-            trips, closes = self.trips, self.closes
-        for key in keys:
-            registry.gauge(f"{prefix}.breaker_state.{key[0]}-{key[1]}").set(
-                1.0 if key in open_keys else 0.0
-            )
-        registry.gauge(f"{prefix}.breaker_trips").set(float(trips))
-        registry.gauge(f"{prefix}.breaker_closes").set(float(closes))
+            return {"open": sorted("-".join(k) for k in self._open)}
 
 
 class SweepJournal:

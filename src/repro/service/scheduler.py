@@ -1,8 +1,10 @@
 """The compile service: batch scheduling over the cached compiler models.
 
 ``CompileService`` is the front door of the service layer.  One instance
-owns an :class:`ArtifactCache`, a :class:`ServiceMetrics`, and (when
-``jobs > 1``) a ``concurrent.futures`` thread pool:
+owns an :class:`ArtifactCache`, a
+:class:`~repro.telemetry.MetricsRegistry` its counters live in (read
+through :attr:`CompileService.metrics`), and (when ``jobs > 1``) a
+``concurrent.futures`` thread pool:
 
 * :meth:`compile` — synchronous single compile, cache-checked; the
   drop-in replacement for :func:`repro.core.method.compile_stage`.
@@ -68,11 +70,10 @@ from ..devices.specs import DeviceSpec
 from ..faults.adapter import FaultyCacheAdapter, FaultyCompilerAdapter
 from ..faults.plan import FaultPlan, is_injected_fault, is_transient
 from ..ir.stmt import Module
-from ..telemetry.registry import MetricsRegistry
+from ..telemetry.registry import CounterView, MetricsRegistry, get_registry
 from ..telemetry.spans import get_tracer
 from .cache import MISS, ArtifactCache, CachedRefusal, SingleFlight
 from .fingerprint import CompileRequest
-from .metrics import ServiceMetrics
 from .resilience import (
     CircuitBreaker,
     Clock,
@@ -119,16 +120,77 @@ def _default_compile_fn(request: CompileRequest) -> Any:
                          request.flags)
 
 
+class ServiceCounters(CounterView):
+    """A compile service's ``service.*`` counters and the resilience
+    counters of docs/FAULTS.md (``faults.*``), plus ``time_saved_s``:
+    the compile time cache hits saved (a gauge)."""
+
+    FIELDS = {
+        "requests": "service.requests",
+        "cache_hits": "service.cache_hits",
+        "dedup_hits": "service.dedup_hits",
+        "compiles": "service.compiles",
+        "errors": "service.errors",
+        "timeouts": "service.timeouts",
+        "faults_injected": "faults.injected",
+        "retries": "faults.retries",
+        "degraded": "faults.degraded",
+        "cache_io_errors": "faults.cache_io_errors",
+    }
+
+    @property
+    def time_saved_s(self) -> float:
+        return self.registry.gauge("service.time_saved_s").value
+
+    def snapshot(self) -> dict[str, int | float]:
+        return {**super().snapshot(), "time_saved_s": self.time_saved_s}
+
+    def report_lines(self) -> list[str]:
+        """The compile-service section of a profiler report."""
+        snap = self.snapshot()
+        latency = self.registry.histogram("service.compile_seconds")
+        lines = [
+            "-- compile service --",
+            (
+                f"requests {snap['requests']}: "
+                f"{snap['cache_hits']} cache hits, "
+                f"{snap['dedup_hits']} dedup hits, "
+                f"{snap['compiles']} compiles "
+                f"({snap['errors']} errors, {snap['timeouts']} timeouts)"
+            ),
+            (
+                f"compile latency p50 {latency.quantile(0.5) * 1e3:.3f} ms, "
+                f"p95 {latency.quantile(0.95) * 1e3:.3f} ms; "
+                f"~{snap['time_saved_s'] * 1e3:.3f} ms saved by caching"
+            ),
+        ]
+        if any(snap[k] for k in ("faults_injected", "retries", "degraded")):
+            lines.append(
+                f"resilience: {snap['faults_injected']} faults injected "
+                f"({snap['cache_io_errors']} cache I/O), "
+                f"{snap['retries']} retries, "
+                f"{snap['degraded']} degraded fallbacks"
+            )
+        return lines
+
+
+#: the breaker transition counters, by :meth:`CircuitBreaker.on_result`'s
+#: return value
+_BREAKER_COUNTERS = {"tripped": "faults.breaker_trips",
+                     "closed": "faults.breaker_closes"}
+
+
 class CompileService:
     """Content-addressed, deduplicating, pool-backed, fault-resilient
-    compilation."""
+    compilation.  It counts into *registry* (by default a private one,
+    which a cache it builds itself shares)."""
 
     def __init__(
         self,
         cache: ArtifactCache | None = None,
         jobs: int = 1,
         timeout_s: float | None = None,
-        metrics: ServiceMetrics | None = None,
+        registry: MetricsRegistry | None = None,
         compile_fn: Callable[[CompileRequest], Any] | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
@@ -136,8 +198,20 @@ class CompileService:
         clock: Clock | None = None,
         journal: SweepJournal | None = None,
     ) -> None:
-        self.cache: Any = cache if cache is not None else ArtifactCache()
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.cache: Any = (cache if cache is not None
+                           else ArtifactCache(registry=self.registry))
+        self.metrics = ServiceCounters(self.registry)
+        self._count = {field: self.registry.counter(name)
+                       for field, name in ServiceCounters.FIELDS.items()}
+        self._time_saved = self.registry.gauge("service.time_saved_s")
+        self._compile_seconds = self.registry.histogram(
+            "service.compile_seconds")
+        #: each compiled fingerprint's compile time: what a hit saves
+        self._seconds_by_fp: dict[str, float] = {}
+        if breaker is not None:
+            for name in _BREAKER_COUNTERS.values():
+                self.registry.counter(name)
         self.jobs = max(1, int(jobs))
         self.timeout_s = timeout_s
         self.retry = retry
@@ -174,7 +248,7 @@ class CompileService:
 
     def compile_request(self, request: CompileRequest) -> Any:
         fingerprint = request.fingerprint
-        self.metrics.record_request()
+        self._count["requests"].inc()
         tracer = get_tracer()
         with tracer.span(
             "service.compile", category="service",
@@ -184,7 +258,7 @@ class CompileService:
         ) as span:
             cached = self._cache_get(fingerprint)
             if cached is not MISS:
-                self.metrics.record_cache_hit(fingerprint)
+                self._record_hit(fingerprint)
                 span.set(cache="hit")
                 if isinstance(cached, CachedRefusal):
                     raise cached.error
@@ -201,14 +275,14 @@ class CompileService:
                     seconds = time.perf_counter() - start
                     injected = is_injected_fault(exc)
                     if injected:
-                        self.metrics.record_fault()
+                        self._record_fault()
                     if (
                         self.retry is not None
                         and is_transient(exc)
                         and attempt < self.retry.max_retries
                     ):
                         backoff = self.retry.backoff_s(fingerprint, attempt)
-                        self.metrics.record_retry()
+                        self._count["retries"].inc()
                         if tracer.enabled:
                             tracer.record_span(
                                 "service.retry", backoff, category="service",
@@ -223,13 +297,12 @@ class CompileService:
                         # deterministic compiler behaviour: cacheable.
                         # injected faults are plan state, never cached.
                         self._cache_put(fingerprint, CachedRefusal(exc))
-                    self.metrics.record_compile(fingerprint, seconds,
-                                                failed=True)
+                    self._record_compile(fingerprint, seconds, failed=True)
                     span.set(attempts=attempt + 1)
                     raise
                 seconds = time.perf_counter() - start + penalty_s
                 self._cache_put(fingerprint, artifact)
-                self.metrics.record_compile(fingerprint, seconds)
+                self._record_compile(fingerprint, seconds)
                 if attempt:
                     span.set(attempts=attempt + 1)
                 return artifact
@@ -260,8 +333,8 @@ class CompileService:
             span.set(cache="miss" if stored is MISS else "hit")
             if stored is MISS:
                 return MISS
-            self.metrics.record_request()
-            self.metrics.record_cache_hit(fingerprint)
+            self._count["requests"].inc()
+            self._record_hit(fingerprint)
             if stored.refused:
                 return JobError(label, fingerprint, "compile-error",
                                 str(pickle.loads(stored.blob).error))
@@ -279,7 +352,7 @@ class CompileService:
         except Exception as exc:
             if not is_injected_fault(exc):
                 raise
-            self.metrics.record_fault(cache_io=True)
+            self._record_fault(cache_io=True)
             return MISS
 
     def _cache_put(self, fingerprint: str, artifact: Any) -> None:
@@ -290,7 +363,31 @@ class CompileService:
         except Exception as exc:
             if not is_injected_fault(exc):
                 raise
-            self.metrics.record_fault(cache_io=True)
+            self._record_fault(cache_io=True)
+
+    # -- counting --------------------------------------------------------------
+
+    def _record_hit(self, fingerprint: str) -> None:
+        """Count a cache hit and the compile time it saved: the recorded
+        compile time of that fingerprint, or the mean one for artifacts
+        inherited from a previous process via the disk tier."""
+        self._count["cache_hits"].inc()
+        saved = self._seconds_by_fp.get(fingerprint)
+        self._time_saved.add(saved if saved is not None
+                             else self._compile_seconds.mean)
+
+    def _record_compile(self, fingerprint: str, seconds: float,
+                        failed: bool = False) -> None:
+        self._count["compiles"].inc()
+        if failed:
+            self._count["errors"].inc()
+        self._compile_seconds.observe(seconds)
+        self._seconds_by_fp[fingerprint] = seconds
+
+    def _record_fault(self, cache_io: bool = False) -> None:
+        self._count["faults_injected"].inc()
+        if cache_io:
+            self._count["cache_io_errors"].inc()
 
     # -- batch API -------------------------------------------------------------
 
@@ -301,7 +398,7 @@ class CompileService:
         fingerprint = request.fingerprint
         future, leader = self._flights.join(fingerprint)
         if not leader:
-            self.metrics.record_dedup_hit()
+            self._count["dedup_hits"].inc()
             if tracer.enabled:
                 tracer.record_span(
                     "service.dedup", 0.0, category="service",
@@ -405,12 +502,17 @@ class CompileService:
         failed = (isinstance(result, JobError)
                   and result.kind in ("fault", "timeout"))
         transition = breaker.on_result(key, failed)
+        # every route the breaker has seen has a state gauge: 1 open
+        state = self.registry.gauge(f"faults.breaker_state.{'-'.join(key)}")
         tracer = get_tracer()
-        if transition is not None and tracer.enabled:
-            tracer.record_span(
-                "service.breaker", 0.0, category="service",
-                key="-".join(key), transition=transition,
-            )
+        if transition is not None:
+            self.registry.counter(_BREAKER_COUNTERS[transition]).inc()
+            state.set(1.0 if transition == "tripped" else 0.0)
+            if tracer.enabled:
+                tracer.record_span(
+                    "service.breaker", 0.0, category="service",
+                    key="-".join(key), transition=transition,
+                )
         if not (failed and breaker.is_open(key)):
             return result
         fallback = breaker.fallback_for(*key)
@@ -439,7 +541,7 @@ class CompileService:
                 return result
             span.set(status="degraded")
         self._mark_degraded(artifact, key, (fb_compiler, fb_target))
-        self.metrics.record_degraded()
+        self._count["degraded"].inc()
         return artifact
 
     def _mark_degraded(self, artifact: Any, original: tuple[str, str],
@@ -527,7 +629,7 @@ class CompileService:
             ),
         ]
         if self.breaker is not None:
-            snap = self.breaker.snapshot()
+            snap = self._breaker_snapshot()
             state = ", ".join(snap["open"]) if snap["open"] else "all closed"
             lines.append(
                 f"breaker: {state} "
@@ -551,17 +653,16 @@ class CompileService:
             "inflight": self.inflight_count(),
         }
         if self.breaker is not None:
-            snap["breaker"] = self.breaker.snapshot()
+            snap["breaker"] = self._breaker_snapshot()
         return snap
 
-    def publish(self, registry: MetricsRegistry) -> None:
-        """Publish service metrics, cache-tier counters, and breaker
-        state into the unified telemetry registry (one call covers
-        all)."""
-        self.metrics.publish(registry, prefix="service")
-        self.cache.stats.publish(registry, prefix="cache")
-        if self.breaker is not None:
-            self.breaker.publish(registry, prefix="faults")
+    def _breaker_snapshot(self) -> dict[str, Any]:
+        """The breaker's open keys and its transition counts."""
+        assert self.breaker is not None
+        snap = self.breaker.snapshot()
+        snap["trips"] = self.registry.counter("faults.breaker_trips").value
+        snap["closes"] = self.registry.counter("faults.breaker_closes").value
+        return snap
 
     # -- internals -------------------------------------------------------------
 
@@ -598,7 +699,7 @@ class CompileService:
         try:
             return future.result(timeout=self.timeout_s)
         except FutureTimeoutError:
-            self.metrics.record_timeout()
+            self._count["timeouts"].inc()
             raise JobError(
                 request.label or request.module.name,
                 request.fingerprint,
@@ -636,13 +737,18 @@ def configure_default_service(
     fault_plan: FaultPlan | None = None,
     journal: SweepJournal | None = None,
 ) -> CompileService:
-    """Replace the process-wide default service (returns the new one)."""
+    """Replace the process-wide default service (returns the new one).
+    It counts into the process-wide registry, so a traced run exports
+    its counters."""
     global _default_service
+    registry = get_registry()
     with _default_lock:
         old = _default_service
         _default_service = CompileService(
-            cache=ArtifactCache(max_entries=max_entries, cache_dir=cache_dir),
+            cache=ArtifactCache(max_entries=max_entries, cache_dir=cache_dir,
+                                registry=registry),
             jobs=jobs,
+            registry=registry,
             timeout_s=timeout_s,
             retry=retry,
             breaker=breaker,

@@ -9,9 +9,10 @@ simulated tool-chain, process-wide:
   decorator API, contextvars parent propagation that survives the sweep
   scheduler's worker threads, near-zero-cost no-op path when disabled);
 * :mod:`.registry` — the unified counter/gauge/histogram metrics
-  registry that ``ServiceMetrics``, ``CacheStats``, and the runtime
-  ``Profiler`` publish into, plus the shared :func:`percentile` and the
-  :class:`Reportable` protocol;
+  registry, the only store of the compile service's, cache's and
+  daemon's counters (their ``snapshot()`` methods are
+  :class:`CounterView` reads of it), plus the shared :func:`percentile`
+  and the :class:`Reportable` protocol;
 * :mod:`.export` — JSON-lines and Chrome trace-event sinks (load the
   latter in Perfetto / ``chrome://tracing``; one lane per scheduler
   worker) and the hierarchical text report behind ``repro telemetry``.
@@ -32,6 +33,7 @@ from .export import (
 )
 from .registry import (
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -53,6 +55,7 @@ from .spans import (
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,14 +1,14 @@
 """Unified metrics registry: named counters, gauges, and histograms.
 
-One :class:`MetricsRegistry` replaces the ad-hoc snapshot dicts that
-``service.ServiceMetrics``, ``cache.CacheStats``, and the runtime
-``Profiler`` each invented: those components *publish* their counters
-into a registry (``publish(registry)``), and every consumer — the text
-report, the JSON-lines export, the CI artifact — reads one deterministic
-:meth:`MetricsRegistry.snapshot`.
+One :class:`MetricsRegistry` is the only place a counter lives.  Each
+subsystem (the compile service, its artifact cache, the daemon, its
+batcher and admission gate) is handed a registry and increments its
+instruments when an event happens; every consumer — ``snapshot()``
+views such as :class:`CounterView`, the text report, the JSON-lines
+export, the CI artifact — reads the same instruments, so there is no
+copy step to forget or to drift.
 
-:func:`percentile` lives here as the single shared implementation (it
-was lifted out of ``repro.service.metrics``, which now re-exports it).
+:func:`percentile` lives here as the single shared implementation.
 
 The :class:`Reportable` protocol is the explicit, typed version of the
 old ``hasattr(obj, "report_lines")`` contract between the profiler and
@@ -22,6 +22,7 @@ from typing import Iterable, Protocol, runtime_checkable
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -36,9 +37,8 @@ __all__ = [
 class Reportable(Protocol):
     """Anything that can render itself as report lines — the contract
     :meth:`repro.runtime.profiler.Profiler.attach_service` requires, and
-    which :class:`repro.service.metrics.ServiceMetrics`,
-    :class:`repro.service.scheduler.CompileService`, and
-    :class:`MetricsRegistry` all satisfy."""
+    which :class:`repro.service.scheduler.CompileService`, its
+    ``metrics`` view, and :class:`MetricsRegistry` all satisfy."""
 
     def report_lines(self) -> list[str]:
         ...
@@ -125,22 +125,14 @@ class Histogram:
             self._values.extend(float(v) for v in values)
 
     @property
-    def count(self) -> int:
+    def mean(self) -> float:
         with self._lock:
-            return len(self._values)
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return sum(self._values)
+            values = self._values
+            return sum(values) / len(values) if values else 0.0
 
     def quantile(self, frac: float) -> float:
         with self._lock:
             return percentile(self._values, frac)
-
-    def values(self) -> list[float]:
-        with self._lock:
-            return list(self._values)
 
     def summary(self) -> dict[str, float]:
         with self._lock:
@@ -196,6 +188,11 @@ class MetricsRegistry:
                 instrument = self._histograms[name] = Histogram(name)
             return instrument
 
+    def counters(self, prefix: str,
+                 names: Iterable[str]) -> dict[str, Counter]:
+        """``{name: counter("<prefix>.<name>")}``: a component's handles."""
+        return {name: self.counter(f"{prefix}.{name}") for name in names}
+
     def _check_unique(self, name: str, own: dict) -> None:
         for family in (self._counters, self._gauges, self._histograms):
             if family is not own and name in family:
@@ -243,6 +240,28 @@ class MetricsRegistry:
             self._histograms.clear()
 
 
+class CounterView:
+    """A read-only view of some of a registry's counters: ``view.misses``
+    reads the counter ``FIELDS["misses"]``; :meth:`snapshot` reads all."""
+
+    #: field -> registry counter name (set by each subclass)
+    FIELDS: dict[str, str] = {}
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+
+    def __getattr__(self, field: str) -> int:
+        name = type(self).FIELDS.get(field)
+        if name is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {field!r}")
+        return self.registry.counter(name).value
+
+    def snapshot(self) -> dict[str, int | float]:
+        return {field: self.registry.counter(name).value
+                for field, name in self.FIELDS.items()}
+
+
 # -- process-wide registry -----------------------------------------------------
 
 _global_registry = MetricsRegistry()
@@ -250,7 +269,8 @@ _global_lock = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide registry components publish into."""
+    """The process-wide registry: the executor's counters, and those of
+    every service, cache and daemon the CLI builds."""
     return _global_registry
 
 

@@ -239,7 +239,9 @@ def test_malformed_frames_get_400_and_the_connection_survives():
         host, port = server.address
         with socket.create_connection((host, port), timeout=10) as sock:
             reader = sock.makefile("rb")
-            for garbage in (b"not json\n", b"[1,2]\n", b'{"op": 7}\n'):
+            for garbage in (b"not json\n", b"[1,2]\n", b'{"op": 7}\n',
+                            b'{"op": ' + b'[' * 100000 + b']' * 100000
+                            + b'}\n'):
                 sock.sendall(garbage)
                 response = protocol.decode_frame(reader.readline())
                 assert response["ok"] is False
@@ -250,7 +252,7 @@ def test_malformed_frames_get_400_and_the_connection_survives():
             response = protocol.decode_frame(reader.readline())
             assert response["ok"] is True
             assert response["protocol"] == protocol.PROTOCOL
-        assert server.protocol_errors == 3
+        assert server.protocol_errors == 4
     finally:
         server.drain()
 
@@ -277,7 +279,6 @@ def test_status_and_stats_surfaces():
         stats = client.stats()
         assert stats["service"]["compiles"] == 2
         assert stats["server"]["batcher"]["batched_points"] == 2
-        assert len(stats["cache_shards"]) == 4
 
 
 def test_requests_are_traced_in_per_client_lanes():

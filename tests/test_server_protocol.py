@@ -92,6 +92,8 @@ def test_frames_are_single_lines():
 @pytest.mark.parametrize("garbage", [
     b"", b"\n", b"not json\n", b"[1, 2, 3]\n", b'"just a string"\n',
     b"{truncated\n", b"\xff\xfe\n", b"42\n", b"null\n",
+    pytest.param(b'{"op": ' + b"[" * 100000 + b"]" * 100000 + b"}\n",
+                 id="deeply-nested"),
 ])
 def test_malformed_frames_raise_protocol_error(garbage):
     with pytest.raises(ProtocolError):

@@ -94,7 +94,7 @@ class TestCliTrace:
         # acceptance: root spans account for >=95% of the wall-clock
         spans, metrics = load_trace(str(trace))
         assert timeline_coverage(spans) >= 0.95
-        assert metrics is not None and metrics["gauges"]
+        assert metrics is not None and metrics["counters"]
 
     def test_heatmap_jsonl_trace_and_telemetry_subcommand(self, tmp_path,
                                                           capsys):
@@ -109,6 +109,22 @@ class TestCliTrace:
         assert "covered by root spans" in out
         assert "search.heatmap" in out
         assert "-- metrics --" in out
+
+    def test_traced_self_test_exports_the_daemon_counters(self, tmp_path,
+                                                          capsys):
+        """The daemon counts into the registry the trace exports; the
+        self-test's baseline service and admission probe stay private."""
+        trace = tmp_path / "trace.jsonl"
+        rc = main(["serve", "--self-test", "--clients", "2", "--points", "8",
+                   "--jobs", "2", "--trace", str(trace)])
+        assert rc == 0, capsys.readouterr().out
+        _spans, metrics = load_trace(str(trace))
+        counters = metrics["counters"]
+        assert counters["service.compiles"] == 8
+        # which path answers a repeated point depends on timing; the sum
+        # does not
+        assert (counters["service.cache_hits"] + counters["service.dedup_hits"]
+                + counters["server.coalesced"]) == 8
 
     def test_trace_flag_resets_global_tracer_after_run(self, tmp_path,
                                                        capsys):

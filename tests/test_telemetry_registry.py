@@ -8,7 +8,6 @@ from repro.frontend import parse_module
 from repro.runtime.profiler import Profiler
 import repro.service
 from repro.service import CompileService
-from repro.service import metrics as service_metrics
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -66,8 +65,7 @@ class TestInstruments:
 class TestPercentileDedup:
     def test_single_implementation(self):
         """percentile() is public only in repro.telemetry.registry; the
-        service layer imports it but does not re-export it."""
-        assert "percentile" not in service_metrics.__all__
+        service layer does not re-export it."""
         assert "percentile" not in repro.service.__all__
         assert not hasattr(repro.service, "percentile")
 
@@ -158,39 +156,32 @@ class TestRegistry:
         assert a.snapshot()["counters"]["ops"] == 1000
 
 
-class TestPublishing:
-    def test_service_metrics_publish(self):
-        service = CompileService()
+class TestLiveCounters:
+    def test_counters_are_live(self):
+        """A service counts straight into the registry it was given:
+        no publish step."""
+        reg = MetricsRegistry()
+        service = CompileService(registry=reg)
         module = parse_module(SOURCE, "demo")
         service.compile(module, "caps", "cuda")
         service.compile(module, "caps", "cuda")  # cache hit
 
-        reg = MetricsRegistry()
-        service.publish(reg)
         snap = reg.snapshot()
-        assert snap["gauges"]["service.requests"] == 2
-        assert snap["gauges"]["service.cache_hits"] == 1
-        assert snap["gauges"]["cache.misses"] == 1
+        assert snap["counters"]["service.requests"] == 2
+        assert snap["counters"]["service.cache_hits"] == 1
+        assert snap["counters"]["cache.misses"] == 1
         assert snap["histograms"]["service.compile_seconds"]["count"] == 1.0
 
-    def test_publish_is_idempotent(self):
-        service = CompileService()
+    def test_private_registries_are_isolated(self):
         module = parse_module(SOURCE, "demo")
-        service.compile(module, "caps", "cuda")
-
-        reg = MetricsRegistry()
-        service.publish(reg)
-        first = reg.snapshot()
-        service.publish(reg)
-        assert reg.snapshot() == first
-
-    def test_profiler_publish(self):
-        prof = Profiler()
-        prof.record("h2d", "a", 0.001, nbytes=4096)
-        prof.record("launch", "demo", 0.002)
-        reg = MetricsRegistry()
-        prof.publish(reg)
-        snap = reg.snapshot()
-        assert snap["gauges"]["runtime.launch.events"] == 1
-        assert snap["gauges"]["runtime.h2d.seconds"] == pytest.approx(0.001)
-        assert snap["gauges"]["runtime.transfer_bytes"] == 4096
+        first, second = CompileService(), CompileService()
+        first.compile(module, "caps", "cuda")
+        first.compile(module, "caps", "cuda")
+        assert first.registry is not second.registry
+        assert first.metrics.requests == 2
+        assert second.metrics.snapshot()["requests"] == 0
+        assert second.cache.stats.misses == 0
+        second.compile(module, "caps", "cuda")
+        assert first.metrics.compiles == 1
+        assert second.metrics.compiles == 1
+        assert first.metrics.requests == 2
