@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.runtime.executor import clear_kernel_cache, configure_plan_cache
 from repro.runtime.parallel import run_exec_sweep
+from repro.service import CompileService
 from repro.telemetry import get_registry, reset_registry
 from repro.telemetry.spans import configure_tracer, reset_tracer
 
@@ -40,7 +41,8 @@ def _cold(backend: str) -> dict:
     clear_kernel_cache(memory_only=True)
     reset_registry()
     start = time.perf_counter()
-    result = run_exec_sweep(backend=backend, sizes=SIZES, repeats=REPEATS)
+    result = run_exec_sweep(service=CompileService(), backend=backend,
+                            sizes=SIZES, repeats=REPEATS)
     result["wall_s"] = time.perf_counter() - start
     result["counters"] = dict(get_registry().snapshot()["counters"])
     return result

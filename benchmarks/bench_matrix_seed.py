@@ -40,17 +40,18 @@ POOL_JOBS = 4
 FAULT_SPEC = "transient:p=0.3,seed=11"
 
 
-def _run(service=None, jobs=1) -> tuple:
+def _run(service: CompileService) -> tuple:
     start = time.perf_counter()
-    report = run_matrix(service=service, jobs=jobs)
+    with service:
+        report = run_matrix(service=service)
     return report, time.perf_counter() - start
 
 
 def run_bench() -> dict:
-    serial, serial_s = _run(jobs=1)
-    pooled, pooled_s = _run(jobs=POOL_JOBS)
+    serial, serial_s = _run(CompileService(jobs=1))
+    pooled, pooled_s = _run(CompileService(jobs=POOL_JOBS))
     faulted, faulted_s = _run(
-        service=CompileService(
+        CompileService(
             jobs=POOL_JOBS,
             fault_plan=parse_fault_spec(FAULT_SPEC),
             retry=RetryPolicy(max_retries=3),

@@ -15,7 +15,7 @@ methodology (section IV-C).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.expr import ArrayRef, BinOp, Call, Cast, Expr, Ternary, UnaryOp
 from ..ir.stmt import Assign, Decl, For, If, KernelFunction, Stmt, While
@@ -332,17 +332,3 @@ def trip_count(loop: For, env: dict[str, int] | None = None) -> int:
     if hi <= lo:
         return 0
     return (hi - lo + loop.step - 1) // loop.step
-
-
-@dataclass
-class IterationSpace:
-    """The concrete iteration domain of a (possibly nested) parallel loop."""
-
-    extents: list[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        total = 1
-        for extent in self.extents:
-            total *= extent
-        return max(total, 0)

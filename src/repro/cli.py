@@ -26,10 +26,13 @@ Commands:
 registered optimization rungs (``fuse-reuse``, ``shared-tile``; see
 :mod:`repro.core.ladder`) on every explored configuration.
 
-``experiment``, ``heatmap``, and ``autotune`` accept ``--jobs N`` and
-``--cache-dir PATH`` to route compilations through the
-:mod:`repro.service` compile cache / worker pool (see docs/SERVICE.md);
-output is byte-identical to the serial, cache-free default.
+``bench``, ``experiment``, ``matrix``, ``heatmap``, ``autotune``,
+``exec-sweep`` and ``difftest`` each compile through one
+:mod:`repro.service` compile cache (see docs/SERVICE.md).  All but
+``bench`` take ``--jobs N``, ``--cache-dir PATH`` and the resilience
+flags to configure it; with any of them set, the service's stats are
+appended (``exec-sweep`` excepted: its stdout is one JSON document), and
+the rest of the output is byte-identical to the default.
 
 ``experiment``, ``heatmap``, ``autotune``, ``bench``, and ``difftest``
 accept ``--exec-backend {scalar,vector,check}`` to pick the kernel
@@ -104,14 +107,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     n = args.size or min(bench.meta.paper_size, 1 << 20)
     device = device_by_name(args.device)
     target = "cuda" if device.kind.value == "gpu" else "opencl"
-    with get_tracer().span("bench", category="cli", label=args.name,
-                           device=device.name, compiler=args.compiler):
-        rows = []
-        for stage, module in bench.stages().items():
-            rows.append(
-                run_stage(bench, module, stage, args.compiler, target,
-                          device, n)
-            )
+    with _build_service(args) as service, get_tracer().span(
+        "bench", category="cli", label=args.name,
+        device=device.name, compiler=args.compiler,
+    ):
+        rows = [
+            run_stage(bench, module, stage, args.compiler, target, device,
+                      n, service=service)
+            for stage, module in bench.stages().items()
+        ]
         if args.opencl and bench.opencl_program() is not None:
             rows.append(run_opencl(bench, "opencl", device, n))
     print(f"{bench.meta.name} (n = {n}) on {device.name} via {args.compiler}")
@@ -129,24 +133,22 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 if args.families else MATRIX_FAMILIES)
     counts = (tuple(int(part) for part in args.devices.split(","))
               if args.devices else DEVICE_COUNTS)
-    service = _service_from_args(args)
-    report = run_matrix(
-        families=families, n=args.size, device_counts=counts,
-        service=service, jobs=args.jobs,
-        peer=NVLINK_LINK if args.peer else None,
-    )
-    print(report.render())
-    print()
-    print(f"digest: {report.digest()}")
-    _print_service_stats(service)
-    if service is not None:
-        service.close()
+    with _build_service(args) as service:
+        report = run_matrix(
+            families=families, n=args.size, device_counts=counts,
+            service=service, peer=NVLINK_LINK if args.peer else None,
+        )
+        print(report.render())
+        print()
+        print(f"digest: {report.digest()}")
+        _print_service_stats(args, service)
     return 0
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
     """Translate --faults/--retries/--resume into CompileService
-    keyword arguments (docs/FAULTS.md).  Empty dict when none are set."""
+    keyword arguments (docs/FAULTS.md).  Empty dict when none are set
+    (or the command has none of them)."""
     from .faults import parse_fault_spec
     from .service import CircuitBreaker, RetryPolicy, SweepJournal
 
@@ -169,33 +171,22 @@ def _resilience_from_args(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _build_service(args: argparse.Namespace, resilience: dict):
-    """A CompileService for --jobs/--cache-dir and *resilience* whose
-    service and cache counters live in the process-wide registry, so a
-    traced run exports them."""
+def _build_service(args: argparse.Namespace):
+    """The CompileService a command compiles through: --jobs,
+    --cache-dir and the resilience flags (the defaults for a command
+    without them).  Its service and cache counters live in the
+    process-wide registry, so a traced run exports them."""
     from .service import CompileService
     from .service.cache import ArtifactCache
     from .telemetry import get_registry
 
     registry = get_registry()
     return CompileService(
-        cache=ArtifactCache(cache_dir=args.cache_dir, registry=registry),
-        jobs=args.jobs, registry=registry, **resilience,
+        cache=ArtifactCache(cache_dir=getattr(args, "cache_dir", None),
+                            registry=registry),
+        jobs=getattr(args, "jobs", 1), registry=registry,
+        **_resilience_from_args(args),
     )
-
-
-def _service_from_args(args: argparse.Namespace):
-    """Build a CompileService from --jobs/--cache-dir plus the resilience
-    flags (None if everything is at its default)."""
-    from .telemetry import get_tracer
-
-    resilience = _resilience_from_args(args)
-    # a traced run always gets an explicit service, so its counters are
-    # in the exported trace
-    if (args.jobs == 1 and args.cache_dir is None and not resilience
-            and not get_tracer().enabled):
-        return None
-    return _build_service(args, resilience)
 
 
 def _daemon_service_kwargs(args: argparse.Namespace) -> dict:
@@ -206,21 +197,21 @@ def _daemon_service_kwargs(args: argparse.Namespace) -> dict:
     return {**_resilience_from_args(args), "registry": get_registry()}
 
 
-def _print_service_stats(service) -> None:
-    if service is not None:
+def _print_service_stats(args: argparse.Namespace, service) -> None:
+    """Append the service's stats when any service flag is set: --jobs
+    other than 1, --cache-dir, --faults, --retries or --resume."""
+    if args.jobs != 1 or any(
+        getattr(args, flag) is not None
+        for flag in ("cache_dir", "faults", "retries", "resume")
+    ):
         print()
         print("\n".join(service.report_lines()))
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS
-    from .service import configure_default_service
+    from .service import set_default_service
     from .telemetry import get_tracer
-
-    resilience = _resilience_from_args(args)
-    # the experiment drivers share the process-wide default service
-    service = configure_default_service(jobs=args.jobs,
-                                        cache_dir=args.cache_dir, **resilience)
 
     names = list(ALL_EXPERIMENTS) if "all" in args.ids else args.ids
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
@@ -229,15 +220,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               f"{sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
         return 2
     failures = 0
-    for name in names:
-        with get_tracer().span(f"experiment.{name}", category="cli",
-                               label=name):
-            result = ALL_EXPERIMENTS[name](paper_scale=args.paper_scale)
-        print(result.report())
-        print()
-        failures += len(result.failed_claims())
-    if args.jobs != 1 or args.cache_dir is not None or resilience:
-        _print_service_stats(service)
+    with _build_service(args) as service:
+        # the experiment drivers share the process-wide default service
+        previous = set_default_service(service)
+        try:
+            for name in names:
+                with get_tracer().span(f"experiment.{name}", category="cli",
+                                       label=name):
+                    result = ALL_EXPERIMENTS[name](
+                        paper_scale=args.paper_scale)
+                print(result.report())
+                print()
+                failures += len(result.failed_claims())
+        finally:
+            set_default_service(previous)
+        _print_service_stats(args, service)
     return 1 if failures else 0
 
 
@@ -249,12 +246,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
     device = device_by_name(args.device)
     ladder = normalize_ladder(args.ladder)
-    service = _service_from_args(args)
-    heatmap = lud_heatmap(get_benchmark("lud"), device, args.compiler,
-                          n=args.size, service=service, jobs=args.jobs,
-                          ladder=ladder)
-    print(heatmap.render())
-    _print_service_stats(service)
+    with _build_service(args) as service:
+        heatmap = lud_heatmap(get_benchmark("lud"), device, args.compiler,
+                              n=args.size, service=service, ladder=ladder)
+        print(heatmap.render())
+        _print_service_stats(args, service)
     return 0
 
 
@@ -274,54 +270,52 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     ladder = normalize_ladder(args.ladder)
     # tuners always share one service: the exhaustive sweep, the hill
     # climber, and the portable tuner revisit the same configurations
-    service = _build_service(args, _resilience_from_args(args))
-    if args.jobs > 1:
-        # fan the whole candidate grid over the worker pool up front;
-        # the (serial) tuning loops below then run compile-free
-        prewarm_lud_grid(bench, K40, service, ladder=ladder)
-        prewarm_lud_grid(bench, PHI_5110P, service, ladder=ladder)
-    ev_gpu = make_lud_evaluator(bench, K40, n=args.size, service=service,
-                                ladder=ladder)
-    ev_mic = make_lud_evaluator(bench, PHI_5110P, n=args.size, service=service,
-                                ladder=ladder)
-    print("exhaustive (K40):  ", exhaustive_tune(ev_gpu,
-                                                 device_name="K40").describe())
-    print("hill climb (K40):  ", hill_climb_tune(ev_gpu,
-                                                 device_name="K40").describe())
-    portable, per_device = portable_tune({"gpu": ev_gpu, "mic": ev_mic})
-    print("portable (GPU+MIC):", portable.describe())
-    for name, seconds in sorted(per_device.items()):
-        print(f"  {name}: {seconds:.4g}s")
-    if args.jobs != 1 or args.cache_dir is not None:
-        _print_service_stats(service)
+    with _build_service(args) as service:
+        if args.jobs > 1:
+            # fan the whole candidate grid over the worker pool up front;
+            # the (serial) tuning loops below then run compile-free
+            prewarm_lud_grid(bench, K40, service, ladder=ladder)
+            prewarm_lud_grid(bench, PHI_5110P, service, ladder=ladder)
+        ev_gpu = make_lud_evaluator(bench, K40, n=args.size,
+                                    service=service, ladder=ladder)
+        ev_mic = make_lud_evaluator(bench, PHI_5110P, n=args.size,
+                                    service=service, ladder=ladder)
+        print("exhaustive (K40):  ",
+              exhaustive_tune(ev_gpu, device_name="K40").describe())
+        print("hill climb (K40):  ",
+              hill_climb_tune(ev_gpu, device_name="K40").describe())
+        portable, per_device = portable_tune({"gpu": ev_gpu, "mic": ev_mic})
+        print("portable (GPU+MIC):", portable.describe())
+        for name, seconds in sorted(per_device.items()):
+            print(f"  {name}: {seconds:.4g}s")
+        _print_service_stats(args, service)
     return 0
 
 
 def _cmd_difftest(args: argparse.Namespace) -> int:
     from .difftest import replay_file, run_difftest
 
-    service = _build_service(args, _resilience_from_args(args))
-    if args.replay is not None:
-        result = replay_file(args.replay, service)
-        status = "EXPLAINED" if result.explained else "UNEXPLAINED"
-        print(f"replay {args.replay}: {status}")
-        for detail in result.unexplained_details():
-            print(f"  {detail}")
-        _print_service_stats(service)
-        return 0 if result.explained else 1
+    with _build_service(args) as service:
+        if args.replay is not None:
+            result = replay_file(args.replay, service)
+            status = "EXPLAINED" if result.explained else "UNEXPLAINED"
+            print(f"replay {args.replay}: {status}")
+            for detail in result.unexplained_details():
+                print(f"  {detail}")
+            _print_service_stats(args, service)
+            return 0 if result.explained else 1
 
-    seeds = range(args.start, args.start + args.seeds)
-    report = run_difftest(
-        seeds, service=service, shrink=args.shrink, out_dir=args.out,
-        log=lambda line: print(f"  FAIL {line}", file=sys.stderr),
-        exec_backend=args.exec_backend,
-    )
-    print("\n".join(report.summary_lines()))
-    for case in report.unexplained:
-        if case.reproducer:
-            print(f"  reproducer: {case.reproducer}")
-    if args.jobs != 1 or args.cache_dir is not None:
-        _print_service_stats(service)
+        seeds = range(args.start, args.start + args.seeds)
+        report = run_difftest(
+            seeds, service=service, shrink=args.shrink, out_dir=args.out,
+            log=lambda line: print(f"  FAIL {line}", file=sys.stderr),
+            exec_backend=args.exec_backend,
+        )
+        print("\n".join(report.summary_lines()))
+        for case in report.unexplained:
+            if case.reproducer:
+                print(f"  reproducer: {case.reproducer}")
+        _print_service_stats(args, service)
     return 1 if report.unexplained else 0
 
 
@@ -438,14 +432,14 @@ def _cmd_exec_sweep(args: argparse.Namespace) -> int:
     from .runtime.parallel import run_exec_sweep
     from .telemetry import get_registry
 
-    service = _service_from_args(args)
     sizes = None
     if args.size is not None:
         sizes = {"ge": args.size, "lud": args.size, "hydro": args.size}
-    result = run_exec_sweep(
-        service=service, backend=args.exec_backend or "vector",
-        sizes=sizes, repeats=args.repeats,
-    )
+    with _build_service(args) as service:
+        result = run_exec_sweep(
+            service=service, backend=args.exec_backend or "vector",
+            sizes=sizes, repeats=args.repeats,
+        )
     counters = {
         name: value
         for name, value in get_registry().snapshot()["counters"].items()

@@ -19,7 +19,6 @@ from .ladder import (
     normalize_ladder,
 )
 from .method import (
-    MethodEvaluation,
     StageResult,
     compile_stage,
     format_rows,
@@ -61,7 +60,6 @@ __all__ = [
     "MatrixCell",
     "MatrixPprEntry",
     "MatrixReport",
-    "MethodEvaluation",
     "PprEntry",
     "StageResult",
     "TuneResult",

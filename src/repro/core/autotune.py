@@ -27,13 +27,9 @@ from typing import Callable, Iterable
 
 from ..devices.specs import DeviceSpec
 from ..kernels.base import Benchmark
-from ..runtime.launcher import Accelerator
 from ..service.scheduler import CompileService
 from ..telemetry.spans import traced
-from ..passes.library.distribute import set_gang_worker
-from .ladder import apply_ladder
-from .method import compile_stage
-from .search import distribution_requests
+from .search import distribution_requests, lud_point_seconds
 
 GANG_CANDIDATES = (1, 16, 32, 64, 128, 192, 240, 256, 512, 1024)
 WORKER_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -63,43 +59,29 @@ def make_lud_evaluator(
     compiler: str = "caps",
     n: int = 1024,
     samples: int = 8,
-    service: CompileService | None = None,
+    *,
+    service: CompileService,
     ladder: tuple[str, ...] = (),
 ) -> Callable[[int, int], float]:
-    """An ``f(gang, worker) -> seconds`` objective for the LUD benchmark,
-    sampling the host pivot loop like the Fig. 4 heat-map search.
+    """An ``f(gang, worker) -> seconds`` objective for the LUD benchmark:
+    one Fig. 4 heat-map point (:func:`~repro.core.search.lud_point_seconds`).
 
-    With a shared ``service``, every configuration compiles at most once
-    per process — the exhaustive sweep, the hill climber, and the
-    portable tuner all revisit the same (gang, worker) points, and the
-    content-addressed cache makes every revisit compile-free.
+    Every configuration compiles through *service*, so it compiles at
+    most once per service — the exhaustive sweep, the hill climber, and
+    the portable tuner all revisit the same (gang, worker) points, and
+    the content-addressed cache makes every revisit compile-free.
 
     ``ladder`` climbs the named optimization rungs
     (:mod:`repro.core.ladder`) on every evaluated configuration, so the
     tuners explore the (schedule x rung) product.
     """
-    base = benchmark.module()
     target = "cuda" if device.kind.value == "gpu" else "opencl"
-    sample_is = [max(1, (n * (2 * s + 1)) // (2 * samples)) for s in range(samples)]
 
     def evaluate(gang: int, worker: int) -> float:
-        module = base.__class__(base.name, [])
-        for kernel in base.kernels:
-            j_loop = kernel.loop_by_var("j")
-            module.kernels.append(set_gang_worker(kernel, j_loop.loop_id,
-                                                  gang, worker))
-        if ladder:
-            module = apply_ladder(module, ladder, compiler, target)
-        compiled = compile_stage(module, compiler, target, service=service)
-        accelerator = Accelerator(device)
-        if service is not None:
-            accelerator.profiler.attach_service(service)
-        accelerator.declare(a=n * n * 4)
-        total = 0.0
-        for i in sample_is:
-            for kernel in compiled.kernels:
-                total += accelerator.launch(kernel, size=n, i=i).seconds
-        return total * (n / samples)
+        (request,) = distribution_requests(benchmark, compiler, target,
+                                           (gang,), (worker,), ladder)
+        return lud_point_seconds(service.compile_request(request), device,
+                                 n, samples)
 
     return evaluate
 

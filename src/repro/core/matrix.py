@@ -230,19 +230,17 @@ def run_matrix(
     n: int | None = None,
     device_counts: tuple[int, ...] = DEVICE_COUNTS,
     pairs: tuple[tuple[str, str], ...] = MATRIX_PAIRS,
-    service: CompileService | None = None,
-    jobs: int = 1,
+    *,
+    service: CompileService,
     link: LinkSpec = PCIE2_LINK,
     peer: LinkSpec | None = None,
 ) -> MatrixReport:
-    """Sweep the full matrix; every cell lands, failures stay in-slot.
+    """Sweep the full matrix through *service*; every cell lands,
+    failures stay in-slot.
 
     ``n`` defaults to each family's ``meta.test_size`` when ``None`` (a
     single explicit ``n`` applies to every family).
     """
-    owns_service = service is None
-    if service is None:
-        service = CompileService(jobs=jobs)
     requests = matrix_requests(families, pairs)
     report = MatrixReport(n=n or 0, device_counts=tuple(device_counts))
     with get_tracer().span("matrix", category="matrix",
@@ -271,8 +269,6 @@ def run_matrix(
                         _model_cell(family, compiler, target, artifact,
                                     size, devices, link, peer)
                     )
-    if owns_service:
-        service.close()
     return report
 
 

@@ -8,15 +8,11 @@ the raw material of the paper's Figures 3-16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..compilers.caps import CapsCompiler
 from ..compilers.flags import FlagSet
-from ..compilers.framework import (
-    CompilationError,
-    CompilationResult,
-    CompiledKernel,
-)
+from ..compilers.framework import CompilationError, CompilationResult
 from ..compilers.opencl import compile_opencl
 from ..compilers.pgi import PgiCompiler
 from ..devices.specs import DeviceSpec, HostToolchain, GCC
@@ -50,30 +46,6 @@ class StageResult:
         return self.error is not None
 
 
-@dataclass
-class MethodEvaluation:
-    """All stage results for one benchmark (one paper figure's data)."""
-
-    benchmark: str
-    rows: list[StageResult] = field(default_factory=list)
-
-    def result(self, stage: str, compiler: str, device: str) -> StageResult:
-        for row in self.rows:
-            if (
-                row.stage == stage
-                and row.compiler == compiler
-                and row.device.lower().startswith(device.lower()[:3])
-            ):
-                return row
-        raise KeyError(f"no result for ({stage}, {compiler}, {device})")
-
-    def speedup(self, stage_from: str, stage_to: str, compiler: str,
-                device: str) -> float:
-        before = self.result(stage_from, compiler, device).elapsed_s
-        after = self.result(stage_to, compiler, device).elapsed_s
-        return before / after if after else float("inf")
-
-
 def _thread_config_label(compiled: CompilationResult,
                          env: dict[str, int]) -> str:
     """The "Thread" row of the paper's figures: the launch geometry of the
@@ -105,17 +77,12 @@ def compile_stage(
     compiler: str,
     target: str,
     flags: FlagSet | None = None,
-    service=None,
 ) -> CompilationResult:
-    """Compile one stage module with the named tool-chain.
+    """Compile one stage module with the named tool-chain, uncached.
 
-    Passing a :class:`repro.service.CompileService` routes the request
-    through its content-addressed cache (and, for batch callers, its
-    worker pool); the result is observationally identical to a direct
-    compile.
+    This is the leaf a :class:`repro.service.CompileService` compiles
+    with; drivers compile through the service they are given.
     """
-    if service is not None:
-        return service.compile(module, compiler, target, flags)
     if compiler.lower() == "caps":
         return CapsCompiler(flags).compile(module, target)
     if compiler.lower() == "pgi":
@@ -137,16 +104,12 @@ def run_stage(
     flags: FlagSet | None = None,
     toolchain: HostToolchain = GCC,
     validate_inputs: dict[str, object] | None = None,
-    service=None,
+    *,
+    service,
     **run_kwargs,
 ) -> StageResult:
-    """Compile + drive one optimization stage on one device.
-
-    ``service`` (a :class:`repro.service.CompileService`) memoizes the
-    compile across repeated stage evaluations; its metrics are attached
-    to the accelerator's profiler so ``Profiler.report()`` shows the
-    cache/service section.
-    """
+    """Compile one optimization stage through *service* (a
+    :class:`repro.service.CompileService`) and drive it on one device."""
     with get_tracer().span(
         "method.stage", category="method",
         label=f"{benchmark.meta.short}:{stage}",
@@ -154,7 +117,8 @@ def run_stage(
     ):
         return _run_stage(
             benchmark, module, stage, compiler, target, device, n,
-            flags, toolchain, validate_inputs, service, **run_kwargs,
+            flags, toolchain, validate_inputs, service=service,
+            **run_kwargs,
         )
 
 
@@ -169,12 +133,12 @@ def _run_stage(
     flags: FlagSet | None = None,
     toolchain: HostToolchain = GCC,
     validate_inputs: dict[str, object] | None = None,
-    service=None,
+    *,
+    service,
     **run_kwargs,
 ) -> StageResult:
     try:
-        compiled = compile_stage(module, compiler, target, flags,
-                                 service=service)
+        compiled = service.compile(module, compiler, target, flags)
     except CompilationError as exc:
         return StageResult(
             benchmark=benchmark.meta.short,
@@ -188,8 +152,6 @@ def _run_stage(
         )
 
     accelerator = Accelerator(device, toolchain=toolchain)
-    if service is not None:
-        accelerator.profiler.attach_service(service)
     result = benchmark.run(accelerator, compiled, n, inputs=None, **run_kwargs)
 
     correct: bool | None = None

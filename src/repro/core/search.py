@@ -125,6 +125,24 @@ def distribution_requests(
     return requests
 
 
+def lud_point_seconds(compiled, device: DeviceSpec, n: int,
+                      samples: int) -> float:
+    """Model one compiled LUD (gang, worker) point on *device*.
+
+    Launches every kernel at ``samples`` evenly spaced host iterations
+    and extrapolates to the full factorization (the per-iteration cost
+    varies smoothly in i).
+    """
+    accelerator = Accelerator(device)
+    accelerator.declare(a=n * n * 4)
+    total = 0.0
+    for s in range(samples):
+        i = max(1, (n * (2 * s + 1)) // (2 * samples))
+        for kernel in compiled.kernels:
+            total += accelerator.launch(kernel, size=n, i=i).seconds
+    return total * (n / samples)
+
+
 def lud_heatmap(
     benchmark: Benchmark,
     device: DeviceSpec,
@@ -133,59 +151,41 @@ def lud_heatmap(
     gangs: tuple[int, ...] = DEFAULT_GANGS,
     workers: tuple[int, ...] = DEFAULT_WORKERS,
     samples: int = 8,
-    service: CompileService | None = None,
-    jobs: int = 1,
+    *,
+    service: CompileService,
     ladder: tuple[str, ...] = (),
 ) -> HeatMap:
     """Figure 4: LUD elapsed time across thread distributions.
 
-    Samples ``samples`` evenly spaced host iterations and extrapolates to
-    the full factorization (the per-iteration cost varies smoothly in i).
-
-    The grid's compiles go through a :class:`CompileService` — pass one
-    to share its artifact cache across sweeps (a warm re-sweep performs
-    zero recompilations), or ``jobs=N`` to fan this sweep's compiles over
-    an ephemeral N-worker service.  Results are deterministic either way.
+    The grid compiles through *service* (share one to share its artifact
+    cache across sweeps: a warm re-sweep performs zero recompilations);
+    each point is modeled by :func:`lud_point_seconds`.  Results are
+    deterministic at any ``service.jobs``.
     """
-    sample_is = [max(1, (n * (2 * s + 1)) // (2 * samples)) for s in range(samples)]
     target = "cuda" if device.kind.value == "gpu" else "opencl"
-    if service is None:
-        service = CompileService(jobs=jobs)
     tracer = get_tracer()
     with tracer.span("search.heatmap", category="search",
                      label=f"{benchmark.meta.short} {compiler}",
                      device=device.name, points=len(gangs) * len(workers)):
         requests = distribution_requests(benchmark, compiler, target, gangs,
                                          workers, ladder=ladder)
-        # sweep (not compile_many) so the grid checkpoints through the
-        # service's journal and survives injected faults point-by-point;
-        # the heat map itself is still strict — a point that stayed
-        # failed after retries/degradation aborts the map
+        # sweep so the grid checkpoints through the service's journal
+        # and survives injected faults point-by-point; the heat map
+        # itself is still strict — a point that stayed failed after
+        # retries/degradation aborts the map
         compiled_grid = service.sweep(requests)
         for slot in compiled_grid:
             if isinstance(slot, JobError):
                 raise slot
 
-        times: list[list[float]] = []
         point = iter(compiled_grid)
         with tracer.span("search.model", category="search",
                          device=device.name):
-            for gang in gangs:
-                row: list[float] = []
-                for worker in workers:
-                    compiled = next(point)
-                    accelerator = Accelerator(device)
-                    accelerator.profiler.attach_service(service)
-                    accelerator.declare(a=n * n * 4)
-                    total = 0.0
-                    for i in sample_is:
-                        for compiled_kernel in compiled.kernels:
-                            record = accelerator.launch(
-                                compiled_kernel, size=n, i=i
-                            )
-                            total += record.seconds
-                    row.append(total * (n / samples))
-                times.append(row)
+            times = [
+                [lud_point_seconds(next(point), device, n, samples)
+                 for _ in workers]
+                for _ in gangs
+            ]
     return HeatMap(
         label=f"LUD {compiler.upper()}{ladder_label(ladder)}",
         device=device.name,

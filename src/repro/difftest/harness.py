@@ -458,9 +458,7 @@ def run_difftest(
     return report
 
 
-def replay_file(
-    path: str, service: CompileService | None = None
-) -> CaseResult:
+def replay_file(path: str, service: CompileService) -> CaseResult:
     """Re-run a dumped reproducer (or any mini-C file) through the pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
@@ -475,4 +473,4 @@ def replay_file(
         source=print_module(module),
         extents=extents,
     )
-    return run_case(case, service or CompileService(), tag=f"replay:{path}")
+    return run_case(case, service, tag=f"replay:{path}")

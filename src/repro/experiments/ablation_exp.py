@@ -25,6 +25,7 @@ from ..devices.specs import DeviceSpec, K40, PHI_5110P, PcieLink
 from ..kernels import get_benchmark
 from ..perf.model import model_overrides
 from ..runtime.launcher import Accelerator
+from ..service import get_default_service
 from .common import Claim, ExperimentResult, size_for
 
 
@@ -232,8 +233,9 @@ def futurework_autotune(paper_scale: bool = False) -> ExperimentResult:
     n = 2048 if not paper_scale else size_for("lud", True)
     gangs = (1, 64, 128, 256, 512)
     workers = (1, 4, 8, 16, 32, 128)
-    ev_gpu = make_lud_evaluator(bench, K40, n=n)
-    ev_mic = make_lud_evaluator(bench, PHI_5110P, n=n)
+    service = get_default_service()
+    ev_gpu = make_lud_evaluator(bench, K40, n=n, service=service)
+    ev_mic = make_lud_evaluator(bench, PHI_5110P, n=n, service=service)
 
     exhaustive = exhaustive_tune(ev_gpu, gangs, workers, device_name="K40")
     climb = hill_climb_tune(ev_gpu, device_name="K40")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from ..compilers.opencl import NvidiaOpenCLCompiler
 from ..core.method import (
     StageResult,
-    compile_stage,
     format_rows,
     ptx_profile,
     run_opencl,
@@ -113,23 +112,18 @@ def fig11(paper_scale: bool = False) -> ExperimentResult:
     stages = bench.stages()
 
     service = get_default_service()  # reuses fig10's compiled artifacts
-    caps_base = ptx_profile(
-        compile_stage(stages["base"], "caps", "cuda", service=service)
-    )
+    caps_base = ptx_profile(service.compile(stages["base"], "caps", "cuda"))
     caps_regrouped = ptx_profile(
-        compile_stage(stages["regrouped"], "caps", "cuda", service=service)
+        service.compile(stages["regrouped"], "caps", "cuda")
     )
-    pgi_base = ptx_profile(
-        compile_stage(stages["base"], "pgi", "cuda", service=service)
-    )
+    pgi_base = ptx_profile(service.compile(stages["base"], "pgi", "cuda"))
     pgi_regrouped = ptx_profile(
-        compile_stage(stages["regrouped"], "pgi", "cuda", service=service)
+        service.compile(stages["regrouped"], "pgi", "cuda")
     )
     ocl = ptx_profile(NvidiaOpenCLCompiler().compile(bench.opencl_program()))
 
     # the regrouped PGI version parallelizes: the 128x1 columns of Fig. 11
-    pgi_compiled = compile_stage(stages["regrouped"], "pgi", "cuda",
-                                 service=service)
+    pgi_compiled = service.compile(stages["regrouped"], "pgi", "cuda")
     parallel_modes = [
         bool(k.parallel_loop_ids) and not k.elided for k in pgi_compiled.kernels
     ]

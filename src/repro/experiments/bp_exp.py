@@ -5,7 +5,6 @@ from __future__ import annotations
 from ..compilers.opencl import NvidiaOpenCLCompiler
 from ..core.method import (
     StageResult,
-    compile_stage,
     format_rows,
     ptx_profile,
     run_opencl,
@@ -124,8 +123,8 @@ def fig12(paper_scale: bool = False) -> ExperimentResult:
 def fig13(paper_scale: bool = False) -> ExperimentResult:
     """Figure 13: the CUDA shared-memory tree reduction skeleton."""
     bench = get_benchmark("bp")
-    compiled = compile_stage(bench.stages()["reduction"], "pgi", "cuda",
-                             service=get_default_service())
+    compiled = get_default_service().compile(bench.stages()["reduction"],
+                                             "pgi", "cuda")
     ptx = compiled.kernel("bp_layer_forward").ptx
     assert ptx is not None
     ops = ptx.opcodes()
@@ -152,15 +151,11 @@ def fig14(paper_scale: bool = False) -> ExperimentResult:
 
     service = get_default_service()  # reuses fig12's compiled artifacts
     caps = {
-        stage: ptx_profile(
-            compile_stage(stages[stage], "caps", "cuda", service=service)
-        )
+        stage: ptx_profile(service.compile(stages[stage], "caps", "cuda"))
         for stage in ("base", "indep", "unroll", "reduction")
     }
     pgi = {
-        stage: ptx_profile(
-            compile_stage(stages[stage], "pgi", "cuda", service=service)
-        )
+        stage: ptx_profile(service.compile(stages[stage], "pgi", "cuda"))
         for stage in ("base", "indep", "unroll", "reduction")
     }
     ocl = ptx_profile(NvidiaOpenCLCompiler().compile(bench.opencl_program()))

@@ -7,7 +7,6 @@ from ..compilers.flags import FlagSet
 from ..compilers.opencl import NvidiaOpenCLCompiler
 from ..core.method import (
     StageResult,
-    compile_stage,
     format_rows,
     ptx_profile,
     run_opencl,
@@ -156,15 +155,12 @@ def fig9(paper_scale: bool = False) -> ExperimentResult:
 
     service = get_default_service()  # reuses fig7's compiled artifacts
     caps = {
-        stage: ptx_profile(
-            compile_stage(stages[stage], "caps", "cuda", service=service)
-        )
+        stage: ptx_profile(service.compile(stages[stage], "caps", "cuda"))
         for stage in ("base", "indep", "unroll", "tile", "reorganized")
     }
     pgi = {
         stage: ptx_profile(
-            compile_stage(stages[stage], "pgi", "cuda", _pgi_flags(stage),
-                          service=service)
+            service.compile(stages[stage], "pgi", "cuda", _pgi_flags(stage))
         )
         for stage in ("base", "indep", "unroll")
     }

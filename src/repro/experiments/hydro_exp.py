@@ -7,6 +7,7 @@ from ..compilers.pgi import PgiCompiler
 from ..core.method import StageResult, format_rows, run_opencl, run_stage
 from ..devices.specs import GCC, ICC, K40, PHI_5110P
 from ..kernels import get_benchmark
+from ..service import get_default_service
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 STEPS = 10
@@ -28,10 +29,11 @@ def fig15(paper_scale: bool = False) -> ExperimentResult:
         ("optimized", "cuda", K40, ICC),
         ("optimized", "opencl", PHI_5110P, ICC),
     ]
+    service = get_default_service()
     for stage, target, device, toolchain in matrix:
         row = run_stage(
             bench, stages[stage], f"{stage}-{toolchain.name}", "caps", target,
-            device, n, toolchain=toolchain, steps=STEPS,
+            device, n, toolchain=toolchain, service=service, steps=STEPS,
         )
         rows.append(row)
     rows.append(run_opencl(bench, "opencl-gcc", K40, n, toolchain=GCC,

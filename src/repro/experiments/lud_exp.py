@@ -148,7 +148,7 @@ def fig4(paper_scale: bool = False) -> ExperimentResult:
 
 def fig6(paper_scale: bool = False) -> ExperimentResult:
     """Figure 6: PTX instructions of LUD for CAPS and PGI."""
-    from ..core.method import compile_stage, ptx_profile
+    from ..core.method import ptx_profile
 
     bench = get_benchmark("lud")
     stages = bench.stages()
@@ -156,12 +156,11 @@ def fig6(paper_scale: bool = False) -> ExperimentResult:
     profiles = {}
     for stage in ("base", "threaddist", "unroll", "tile"):
         profiles[("caps", stage)] = ptx_profile(
-            compile_stage(stages[stage], "caps", "cuda", service=service)
+            service.compile(stages[stage], "caps", "cuda")
         )
     for stage in ("base", "threaddist", "unroll"):
         profiles[("pgi", stage)] = ptx_profile(
-            compile_stage(stages[stage], "pgi", "cuda",
-                          _pgi_flags(stage), service=service)
+            service.compile(stages[stage], "pgi", "cuda", _pgi_flags(stage))
         )
 
     caps_base = profiles[("caps", "base")]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from .expr import ArrayRef, Expr, Var, arrays_referenced, free_vars, substitute
 from .stmt import (
@@ -132,13 +132,6 @@ def substitute_in_stmt(stmt: Stmt, mapping: dict[str, Expr]) -> Stmt:
     """Clone *stmt* with scalar variables substituted per *mapping*."""
     # substitute() recurses itself; apply it once per statement expression
     return _rewrite_top_exprs(stmt, lambda e: substitute(e, mapping))
-
-
-def iter_exprs(stmt: Stmt) -> Iterator[Expr]:
-    """All expressions in a statement tree, including nested sub-expressions."""
-    for node in stmt.walk():
-        for expr in node.children_exprs():
-            yield from expr.walk()
 
 
 def stmt_free_vars(stmt: Stmt) -> set[str]:

@@ -45,8 +45,6 @@ class Pipeline:
 
     name: str
     passes: tuple[str, ...]
-    verify: bool = True
-    verify_level: str = "structure"
 
     def resolve(self) -> list[Pass]:
         """The registered :class:`Pass` objects, in order."""
@@ -63,13 +61,10 @@ class Pipeline:
         ctx = ctx if ctx is not None else PassContext()
         work = clone_kernel(kernel)
 
-        baseline: frozenset = frozenset()
-        if self.verify:
-            baseline = frozenset(
-                _failure_key(f)
-                for f in check_kernel(work, self.verify_level,
-                                      skip=ctx.invalidated)
-            )
+        baseline = frozenset(
+            _failure_key(f)
+            for f in check_kernel(work, "structure", skip=ctx.invalidated)
+        )
 
         tracer = get_tracer()
         for info in self.resolve():
@@ -90,15 +85,13 @@ class Pipeline:
                     out = work
             ctx.provenance.append(info.name)
             ctx.invalidated |= info.invalidates
-            if self.verify:
-                introduced = [
-                    f
-                    for f in check_kernel(out, self.verify_level,
-                                          skip=ctx.invalidated)
-                    if _failure_key(f) not in baseline
-                ]
-                if introduced:
-                    raise VerifyError(introduced, tuple(ctx.provenance))
+            introduced = [
+                f
+                for f in check_kernel(out, "structure", skip=ctx.invalidated)
+                if _failure_key(f) not in baseline
+            ]
+            if introduced:
+                raise VerifyError(introduced, tuple(ctx.provenance))
             work = out
         return work
 

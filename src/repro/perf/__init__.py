@@ -11,7 +11,6 @@ from .halo import (
 from .model import (
     model_overrides,
     CPI,
-    KernelTimeline,
     LaunchConfig,
     TimeBreakdown,
     WorkProfile,
@@ -21,7 +20,6 @@ from .model import (
 __all__ = [
     "CPI",
     "HaloBreakdown",
-    "KernelTimeline",
     "LaunchConfig",
     "TimeBreakdown",
     "WorkProfile",

@@ -32,7 +32,7 @@ assert orderings and ratios only (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.patterns import OpCounts
 from ..devices.specs import DeviceKind, DeviceSpec
@@ -312,20 +312,6 @@ def estimate_time(
     if spec.kind is DeviceKind.MIC:
         return _mic_time(spec, config, profile)
     return _cpu_time(spec, config, profile)
-
-
-@dataclass
-class KernelTimeline:
-    """Accumulates launch/transfer events into an elapsed total."""
-
-    events: list[tuple[str, float]] = field(default_factory=list)
-
-    def add(self, label: str, seconds: float) -> None:
-        self.events.append((label, seconds))
-
-    @property
-    def total_s(self) -> float:
-        return sum(seconds for _, seconds in self.events)
 
 
 import contextlib

@@ -99,18 +99,30 @@ class _Handler(socketserver.StreamRequestHandler):
         daemon._count["connections"].inc()
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(protocol.MAX_FRAME_BYTES + 1)
             except (ConnectionError, OSError):
                 return
             if not line:
                 return  # client closed
-            try:
-                response = daemon.handle_frame(line)
-            except Exception as exc:  # a handler bug must not kill the daemon
-                response = protocol.error_response(
-                    None, protocol.INTERNAL, "internal",
-                    f"{type(exc).__name__}: {exc}",
-                )
+            if len(line) > protocol.MAX_FRAME_BYTES:
+                # the rest of the line is still unread: the stream cannot
+                # resync, so answer and close
+                daemon._count["protocol_errors"].inc()
+                response = {
+                    **protocol.error_response(
+                        None, protocol.BAD_REQUEST, "frame-too-large",
+                        f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes",
+                    ),
+                    "closing": True,
+                }
+            else:
+                try:
+                    response = daemon.handle_frame(line)
+                except Exception as exc:  # a handler bug must not kill us
+                    response = protocol.error_response(
+                        None, protocol.INTERNAL, "internal",
+                        f"{type(exc).__name__}: {exc}",
+                    )
             try:
                 self.wfile.write(protocol.encode_frame(response))
                 self.wfile.flush()

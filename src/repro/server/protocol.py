@@ -61,6 +61,11 @@ REJECTED = 429
 INTERNAL = 500
 DRAINING = 503
 
+#: the longest request frame, newline included, a daemon reads: 16 MiB,
+#: over 100x the largest frame the repo's own clients send (a 64-point
+#: sweep with source, ~150 KB)
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 
 class ProtocolError(ValueError):
     """A frame that does not parse or does not validate."""

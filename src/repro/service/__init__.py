@@ -47,9 +47,9 @@ from .resilience import (
 from .scheduler import (
     CompileService,
     JobError,
-    configure_default_service,
     get_default_service,
     reset_default_service,
+    set_default_service,
 )
 
 __all__ = [
@@ -71,9 +71,9 @@ __all__ = [
     "SweepJournal",
     "SystemClock",
     "canonical_flags",
-    "configure_default_service",
     "fingerprint_parts",
     "fingerprint_request",
     "get_default_service",
     "reset_default_service",
+    "set_default_service",
 ]

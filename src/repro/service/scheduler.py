@@ -6,13 +6,11 @@ owns an :class:`ArtifactCache`, a
 through :attr:`CompileService.metrics`), and (when ``jobs > 1``) a
 ``concurrent.futures`` thread pool:
 
-* :meth:`compile` — synchronous single compile, cache-checked; the
-  drop-in replacement for :func:`repro.core.method.compile_stage`.
+* :meth:`compile` — synchronous single compile, cache-checked, over
+  the uncached leaf :func:`repro.core.method.compile_stage`.
 * :meth:`submit` — asynchronous compile returning a ``Future``;
   identical in-flight requests (same fingerprint) are deduplicated onto
   one future.
-* :meth:`compile_many` — strict batch: results in request order, the
-  first failure propagates.
 * :meth:`sweep` — fault-tolerant batch for parameter sweeps: a failed
   point yields a structured :class:`JobError` in its slot and the rest
   of the sweep completes.
@@ -63,14 +61,14 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from ..compilers.flags import FlagSet
 from ..devices.specs import DeviceSpec
 from ..faults.adapter import FaultyCacheAdapter, FaultyCompilerAdapter
 from ..faults.plan import FaultPlan, is_injected_fault, is_transient
 from ..ir.stmt import Module
-from ..telemetry.registry import CounterView, MetricsRegistry, get_registry
+from ..telemetry.registry import CounterView, MetricsRegistry
 from ..telemetry.spans import get_tracer
 from .cache import MISS, ArtifactCache, CachedRefusal, SingleFlight
 from .fingerprint import CompileRequest
@@ -419,18 +417,6 @@ class CompileService:
             )
         return future
 
-    def compile_many(self, requests: Sequence[CompileRequest]) -> list[Any]:
-        """Compile a batch; results in request order; first failure raises."""
-        with get_tracer().span(
-            "service.batch", category="service",
-            points=len(requests), jobs=self.jobs,
-        ):
-            futures = [self.submit(request) for request in requests]
-            results: list[Any] = []
-            for request, future in zip(requests, futures):
-                results.append(self._gather(request, future, strict=True))
-            return results
-
     def sweep(self, requests: Iterable[CompileRequest],
               journal: SweepJournal | None = None) -> list[Any]:
         """Fault-tolerant batch: each slot is an artifact or a
@@ -465,7 +451,7 @@ class CompileService:
                 ))
                 continue
             try:
-                result = self._gather(request, pending[index], strict=True)
+                result = self._gather(request, pending[index])
             except JobError as err:
                 result = err
             except Exception as exc:  # compiler error captured in-slot
@@ -694,8 +680,7 @@ class CompileService:
                 span.set(status="done")
                 self._flights.settle(request.fingerprint, future, result)
 
-    def _gather(self, request: CompileRequest, future: Future,
-                strict: bool) -> Any:
+    def _gather(self, request: CompileRequest, future: Future) -> Any:
         try:
             return future.result(timeout=self.timeout_s)
         except FutureTimeoutError:
@@ -717,9 +702,9 @@ _default_lock = threading.Lock()
 
 def get_default_service() -> CompileService:
     """The process-wide service the experiment drivers share (memory-tier
-    cache only, serial execution) — configurable via
-    :func:`configure_default_service` (the CLI's
-    ``--jobs/--cache-dir/--faults/--retries/--resume``)."""
+    cache only, serial execution) unless :func:`set_default_service`
+    installed another (the CLI's ``experiment`` installs the one its
+    flags built)."""
     global _default_service
     with _default_lock:
         if _default_service is None:
@@ -727,37 +712,17 @@ def get_default_service() -> CompileService:
         return _default_service
 
 
-def configure_default_service(
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    max_entries: int = 512,
-    timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
-    breaker: CircuitBreaker | None = None,
-    fault_plan: FaultPlan | None = None,
-    journal: SweepJournal | None = None,
-) -> CompileService:
-    """Replace the process-wide default service (returns the new one).
-    It counts into the process-wide registry, so a traced run exports
-    its counters."""
+def set_default_service(
+    service: CompileService | None,
+) -> CompileService | None:
+    """Make *service* the process-wide default and return the one it
+    replaces, so the caller can put that back (``None``: the next
+    :func:`get_default_service` builds a fresh one).  The caller owns
+    the service it installs: closing it stays the caller's job."""
     global _default_service
-    registry = get_registry()
     with _default_lock:
-        old = _default_service
-        _default_service = CompileService(
-            cache=ArtifactCache(max_entries=max_entries, cache_dir=cache_dir,
-                                registry=registry),
-            jobs=jobs,
-            registry=registry,
-            timeout_s=timeout_s,
-            retry=retry,
-            breaker=breaker,
-            fault_plan=fault_plan,
-            journal=journal,
-        )
-    if old is not None:
-        old.close()
-    return _default_service
+        previous, _default_service = _default_service, service
+    return previous
 
 
 def reset_default_service() -> None:

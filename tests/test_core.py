@@ -15,6 +15,7 @@ from repro.core.ppr import PprEntry, format_ppr_table, ppr
 from repro.core.search import lud_heatmap
 from repro.devices import K40, PHI_5110P
 from repro.kernels import get_benchmark
+from repro.service import CompileService
 
 
 class TestPpr:
@@ -42,7 +43,7 @@ class TestMethodPipeline:
     def test_run_stage_records_profile(self):
         bench = get_benchmark("lud")
         row = run_stage(bench, bench.stages()["base"], "base", "caps", "cuda",
-                        K40, 64)
+                        K40, 64, service=CompileService())
         assert row.elapsed_s > 0
         assert row.thread_config == "1x1"
         assert row.kernel_launches == 2 * 64
@@ -50,7 +51,7 @@ class TestMethodPipeline:
     def test_run_stage_compilation_failure_recorded(self):
         bench = get_benchmark("hydro")
         row = run_stage(bench, bench.stages()["base"], "base", "pgi", "cuda",
-                        K40, 16, steps=1)
+                        K40, 16, service=CompileService(), steps=1)
         assert row.failed and "pointer" in row.error
 
     def test_run_stage_validation(self):
@@ -58,7 +59,7 @@ class TestMethodPipeline:
         inputs = bench.inputs(bench.meta.test_size)
         row = run_stage(bench, bench.stages()["reduction"], "reduction",
                         "caps", "opencl", PHI_5110P, 256,
-                        validate_inputs=inputs)
+                        validate_inputs=inputs, service=CompileService())
         assert row.correct is False  # the paper's broken reduction
 
     def test_unknown_compiler(self):
@@ -74,7 +75,7 @@ class TestMethodPipeline:
     def test_format_rows(self):
         bench = get_benchmark("lud")
         row = run_stage(bench, bench.stages()["base"], "base", "caps", "cuda",
-                        K40, 32)
+                        K40, 32, service=CompileService())
         text = format_rows([row])
         assert "base" in text and "caps" in text
 
@@ -88,7 +89,8 @@ class TestHeatMap:
     @pytest.fixture(scope="class")
     def heatmap(self):
         return lud_heatmap(get_benchmark("lud"), K40, "caps", n=512,
-                           gangs=(1, 64, 256), workers=(1, 16, 64))
+                           gangs=(1, 64, 256), workers=(1, 16, 64),
+                           service=CompileService())
 
     def test_shape(self, heatmap):
         assert len(heatmap.times) == 3 and len(heatmap.times[0]) == 3

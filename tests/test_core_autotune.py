@@ -11,6 +11,7 @@ from repro.core.autotune import (
 )
 from repro.devices import K40, PHI_5110P
 from repro.kernels import get_benchmark
+from repro.service import CompileService
 
 
 def quadratic_objective(opt_gang=128, opt_worker=16):
@@ -81,14 +82,16 @@ class TestPortable:
 class TestLudEvaluator:
     def test_times_positive_and_config_sensitive(self):
         bench = get_benchmark("lud")
-        evaluate = make_lud_evaluator(bench, K40, n=512, samples=4)
+        evaluate = make_lud_evaluator(bench, K40, n=512, samples=4,
+                                      service=CompileService())
         serialish = evaluate(1, 1)
         parallel = evaluate(256, 16)
         assert parallel < serialish
 
     def test_mic_evaluator(self):
         bench = get_benchmark("lud")
-        evaluate = make_lud_evaluator(bench, PHI_5110P, n=512, samples=4)
+        evaluate = make_lud_evaluator(bench, PHI_5110P, n=512, samples=4,
+                                      service=CompileService())
         assert evaluate(240, 1) > 0
 
     def test_describe(self):

@@ -17,15 +17,16 @@ from repro.telemetry import Tracer, configure_tracer, reset_tracer
 SMALL = dict(families=("stencil", "pic"), n=8, device_counts=(1, 2))
 
 
-def small_matrix(**overrides):
+def small_matrix(service=None, **overrides):
     kwargs = dict(SMALL)
     kwargs.update(overrides)
-    return run_matrix(**kwargs)
+    return run_matrix(service=service or CompileService(), **kwargs)
 
 
 class TestMatrixShape:
     def test_full_matrix_covers_every_cell(self):
-        report = run_matrix(n=8, device_counts=(1, 2, 4))
+        report = run_matrix(n=8, device_counts=(1, 2, 4),
+                            service=CompileService())
         assert len(report.cells) == len(MATRIX_FAMILIES) * len(MATRIX_PAIRS) * 3
         for family in MATRIX_FAMILIES:
             for compiler, target in MATRIX_PAIRS:
@@ -83,15 +84,16 @@ class TestCostModel:
 
     def test_pic_exposed_exchange_slows_it_down(self):
         report = run_matrix(families=("stencil", "pic"), n=8,
-                            device_counts=(1, 4))
+                            device_counts=(1, 4), service=CompileService())
         stencil = report.cell("stencil", "caps", "cuda", 4)
         pic = report.cell("pic", "caps", "cuda", 4)
         assert pic.speedup < stencil.speedup
 
     def test_peer_link_helps_wide_nodes(self):
-        flat = run_matrix(families=("stencil",), n=8, device_counts=(4,))
+        flat = run_matrix(families=("stencil",), n=8, device_counts=(4,),
+                          service=CompileService())
         peered = run_matrix(families=("stencil",), n=8, device_counts=(4,),
-                            peer=NVLINK_LINK)
+                            service=CompileService(), peer=NVLINK_LINK)
         assert (peered.cell("stencil", "caps", "cuda", 4).elapsed_s
                 <= flat.cell("stencil", "caps", "cuda", 4).elapsed_s)
 
@@ -108,8 +110,9 @@ class TestDeterminism:
     """The three byte-identity legs ISSUE 10 pins."""
 
     def test_jobs_1_vs_4(self):
-        serial = small_matrix(jobs=1)
-        pooled = small_matrix(jobs=4)
+        serial = small_matrix(service=CompileService(jobs=1))
+        with CompileService(jobs=4) as service:
+            pooled = small_matrix(service=service)
         assert pooled.render() == serial.render()
         assert pooled.digest() == serial.digest()
 
@@ -126,7 +129,6 @@ class TestDeterminism:
         baseline = small_matrix()
         plan = parse_fault_spec("transient:p=0.3,seed=11")
         faulted = small_matrix(
-            jobs=4,
             service=CompileService(jobs=4, fault_plan=plan,
                                    retry=RetryPolicy(max_retries=3)),
         )

@@ -45,12 +45,12 @@ class TestPairs:
 
 class TestClassification:
     def test_clean_seeds_are_explained(self):
-        report = run_difftest(range(10))
+        report = run_difftest(range(10), service=CompileService())
         assert report.unexplained == []
 
     def test_wrong_answers_are_reproduced_and_explained(self):
         # the corpus must actually hit the paper V-D2 scenario
-        report = run_difftest(range(10))
+        report = run_difftest(range(10), service=CompileService())
         assert report.count("wrong-answer") > 0
         for case in report.cases:
             for pair in case.pairs:

@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.core import ppr, run_stage
 from repro.ptx.counter import InstructionProfile
+from repro.service import CompileService
 from repro.passes.library.distribute import set_gang_worker
 from repro.passes.library.independent import add_independent
 from repro.passes.library.unroll import unroll_in_kernel
@@ -89,7 +90,7 @@ class TestStageResultPlumbing:
 
         bench = get_benchmark("ge")
         row = run_stage(bench, bench.stages()["indep"], "indep", "caps",
-                        "cuda", K40, 64)
+                        "cuda", K40, 64, service=CompileService())
         assert row.kernel_launches == 3 * 63
         assert row.memcpy_h2d == 3 and row.memcpy_d2h == 2
         assert row.ptx is not None and row.ptx.total > 0

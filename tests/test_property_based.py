@@ -261,6 +261,7 @@ import pytest
 from repro.difftest import generate_case, run_difftest
 from repro.frontend import parse_module
 from repro.ir import print_module
+from repro.service import CompileService
 
 #: the fixed corpus of ISSUE 2's acceptance criterion.  Seeds are pinned:
 #: any change to the generator that alters these cases is a breaking
@@ -270,7 +271,7 @@ _FAST_SEEDS = CORPUS_SEEDS[:12]
 
 
 def _assert_corpus_properties(seeds):
-    report = run_difftest(seeds)
+    report = run_difftest(seeds, service=CompileService())
     assert report.unexplained == [], [
         d for c in report.unexplained for d in c.unexplained_details()
     ]

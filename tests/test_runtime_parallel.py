@@ -18,6 +18,7 @@ from repro.runtime.parallel import (
     run_exec_sweep,
     run_tasks,
 )
+from repro.service import CompileService
 from repro.telemetry import get_registry, reset_registry
 from repro.telemetry.spans import configure_tracer, reset_tracer
 
@@ -40,7 +41,7 @@ def _clean_state():
 def _cold_run() -> tuple[str, dict[str, int]]:
     clear_kernel_cache()
     reset_registry()
-    result = run_exec_sweep(sizes=SIZES)
+    result = run_exec_sweep(service=CompileService(), sizes=SIZES)
     counters = dict(get_registry().snapshot()["counters"])
     return result["digest"], counters
 
@@ -88,7 +89,7 @@ class TestSweepDeterminism:
         clear_kernel_cache(memory_only=True)
         reset_registry()
         tracer = configure_tracer(enabled=True)
-        result = run_exec_sweep(sizes=SIZES)
+        result = run_exec_sweep(service=CompileService(), sizes=SIZES)
         counters = get_registry().snapshot()["counters"]
         assert counters["executor.plan_disk_hit"] > 0
         assert result["digest"] == cold_digest
@@ -97,7 +98,7 @@ class TestSweepDeterminism:
 
     def test_deterministic_under_faults_and_retries(self):
         from repro.faults import parse_fault_spec
-        from repro.service import CompileService, RetryPolicy
+        from repro.service import RetryPolicy
 
         baseline, _ = _cold_run()
         clear_kernel_cache()
@@ -111,13 +112,14 @@ class TestSweepDeterminism:
 
     def test_task_spans_in_trace(self):
         tracer = configure_tracer(enabled=True)
-        result = run_exec_sweep(sizes=SIZES)
+        result = run_exec_sweep(service=CompileService(), sizes=SIZES)
         tasks = tracer.spans_named("exec.task")
         assert [span.attributes["task"] for span in tasks] == result["tasks"]
         assert all("lane" not in span.attributes for span in tasks)
 
     def test_repeats_extend_task_list(self):
-        result = run_exec_sweep(sizes=SIZES, repeats=2)
+        result = run_exec_sweep(service=CompileService(), sizes=SIZES,
+                                repeats=2)
         labels = result["tasks"]
         assert len(labels) == 12
         assert "ge_fan1#0" in labels and "ge_fan1#1" in labels

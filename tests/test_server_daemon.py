@@ -257,6 +257,37 @@ def test_malformed_frames_get_400_and_the_connection_survives():
         server.drain()
 
 
+def test_over_long_frame_gets_400_and_a_close(monkeypatch):
+    """A frame longer than MAX_FRAME_BYTES is never buffered whole: the
+    daemon answers 400 frame-too-large, closes that connection (it cannot
+    resync mid-line), and keeps serving new ones."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+    server = make_server()
+    try:
+        host, port = server.address
+        hello = {"id": 1, "op": "hello", "client": "probe"}
+        frame = protocol.encode_frame({**hello, "pad": ""})
+        # exactly one byte over the limit, newline included
+        frame = protocol.encode_frame(
+            {**hello, "pad": "x" * (1025 - len(frame))})
+        assert len(frame) == 1025
+        with socket.create_connection((host, port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(frame)
+            response = protocol.decode_frame(reader.readline())
+            assert response["ok"] is False
+            assert response["error"]["code"] == protocol.BAD_REQUEST
+            assert response["error"]["kind"] == "frame-too-large"
+            assert reader.readline() == b""  # closed
+        assert server.protocol_errors == 1
+        with socket.create_connection((host, port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(protocol.encode_frame(hello))
+            assert protocol.decode_frame(reader.readline())["ok"] is True
+    finally:
+        server.drain()
+
+
 def test_unknown_op_gets_404_and_the_connection_survives():
     with spawn_local() as (_server, client):
         with pytest.raises(protocol.ServerError) as excinfo:

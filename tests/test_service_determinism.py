@@ -64,8 +64,11 @@ class TestNoDeepCopy:
 class TestSerialVsParallel:
     def test_heatmap_jobs4_byte_identical(self):
         bench = get_benchmark("lud")
-        serial = lud_heatmap(bench, K40, "caps", jobs=1, **SMALL)
-        parallel = lud_heatmap(bench, K40, "caps", jobs=4, **SMALL)
+        serial = lud_heatmap(bench, K40, "caps",
+                             service=CompileService(jobs=1), **SMALL)
+        with CompileService(jobs=4) as service:
+            parallel = lud_heatmap(bench, K40, "caps", service=service,
+                                   **SMALL)
         assert parallel.times == serial.times
         assert parallel.render() == serial.render()
 
@@ -75,8 +78,9 @@ class TestSerialVsParallel:
         bench = get_benchmark("lud")
         requests = distribution_requests(bench, "caps", "cuda",
                                          (1, 128), (1, 32))
-        serial = CompileService(jobs=1).compile_many(requests)
-        pooled = CompileService(jobs=4).compile_many(requests)
+        serial = CompileService(jobs=1).sweep(requests)
+        with CompileService(jobs=4) as service:
+            pooled = service.sweep(requests)
         for a, b in zip(serial, pooled):
             for ka, kb in zip(a.kernels, b.kernels):
                 assert ka.ptx.render() == kb.ptx.render()

@@ -72,15 +72,16 @@ class TestCompile:
 
 
 class TestBatch:
-    def test_compile_many_preserves_order(self, module):
+    def test_sweep_preserves_order(self, module):
         other = parse_module(SOURCE.replace("2.0f", "3.0f"), "demo")
         requests = [
             CompileRequest(module, "caps", "cuda"),
             CompileRequest(other, "caps", "cuda"),
             CompileRequest(module, "pgi", "cuda"),
         ]
-        serial = CompileService().compile_many(requests)
-        pooled = CompileService(jobs=4).compile_many(requests)
+        serial = CompileService().sweep(requests)
+        with CompileService(jobs=4) as service:
+            pooled = service.sweep(requests)
         assert [r.compiler for r in serial] == ["CAPS", "CAPS", "PGI"]
         for a, b in zip(serial, pooled):
             assert a.kernels[0].ptx.render() == b.kernels[0].ptx.render()
@@ -101,7 +102,7 @@ class TestBatch:
     def test_identical_requests_batch(self, module):
         service = CompileService()
         requests = [CompileRequest(module, "caps", "cuda")] * 3
-        results = service.compile_many(requests)
+        results = service.sweep(requests)
         assert service.metrics.compiles == 1
         assert len(results) == 3
 
@@ -141,19 +142,9 @@ class TestPool:
         assert service.metrics.timeouts == 1
         service.close()
 
-    def test_compile_many_raises_on_timeout(self, module):
-        def sleepy(request):
-            time.sleep(0.5)
-            return "artifact"
-
-        service = CompileService(jobs=2, timeout_s=0.05, compile_fn=sleepy)
-        with pytest.raises(JobError):
-            service.compile_many([CompileRequest(module, "caps", "cuda")])
-        service.close()
-
     def test_context_manager_closes_pool(self, module):
         with CompileService(jobs=2) as service:
-            service.compile_many([CompileRequest(module, "caps", "cuda")])
+            service.sweep([CompileRequest(module, "caps", "cuda")])
         assert service._pool is None
 
 
