@@ -146,11 +146,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
-    """Translate --faults/--retries/--resume into CompileService
+    """Translate --faults/--retries into CompileService
     keyword arguments (docs/FAULTS.md).  Empty dict when none are set
     (or the command has none of them)."""
     from .faults import parse_fault_spec
-    from .service import CircuitBreaker, RetryPolicy, SweepJournal
+    from .service import CircuitBreaker, RetryPolicy
 
     kwargs: dict = {}
     spec = getattr(args, "faults", None)
@@ -165,9 +165,6 @@ def _resilience_from_args(args: argparse.Namespace) -> dict:
         retries = 3  # faults without --retries still get the default kit
     if retries:
         kwargs["retry"] = RetryPolicy(max_retries=retries)
-    resume = getattr(args, "resume", None)
-    if resume is not None:
-        kwargs["journal"] = SweepJournal(resume)
     return kwargs
 
 
@@ -199,10 +196,10 @@ def _daemon_service_kwargs(args: argparse.Namespace) -> dict:
 
 def _print_service_stats(args: argparse.Namespace, service) -> None:
     """Append the service's stats when any service flag is set: --jobs
-    other than 1, --cache-dir, --faults, --retries or --resume."""
+    other than 1, --cache-dir, --faults or --retries."""
     if args.jobs != 1 or any(
         getattr(args, flag) is not None
-        for flag in ("cache_dir", "faults", "retries", "resume")
+        for flag in ("cache_dir", "faults", "retries")
     ):
         print()
         print("\n".join(service.report_lines()))
@@ -483,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cache-dir", default=None, metavar="PATH",
             help="persist compiled artifacts to PATH (content-addressed; "
-                 "a warm cache makes re-sweeps compile-free)",
+                 "a warm cache makes re-sweeps compile-free, and rerunning "
+                 "a killed sweep on the same PATH resumes it)",
         )
 
     def add_resilience_flags(p: argparse.ArgumentParser) -> None:
@@ -499,12 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--retries", type=int, default=None, metavar="N",
             help="retry transient compile failures up to N times with "
                  "exponential backoff (default: 3 with --faults, else 0)",
-        )
-        p.add_argument(
-            "--resume", default=None, metavar="FILE",
-            help="checkpoint completed sweep points to FILE (JSONL) and "
-                 "skip points already journaled there — a killed sweep "
-                 "resumes byte-identically",
         )
 
     def add_exec_flags(p: argparse.ArgumentParser) -> None:

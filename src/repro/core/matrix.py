@@ -7,7 +7,7 @@ extends the verdict to **N-device** runs of the multi-device families
     (family, compiler, target, device count k ∈ {1, 2, 4})
 
 compiled through the :class:`~repro.service.CompileService` (cache,
-worker pool, resilience, journal — the same machinery as the Fig. 4
+worker pool, resilience — the same machinery as the Fig. 4
 sweeps) and then *modeled*:
 
 * the single-device modeled run gives ``T1`` (the per-cell baseline);
@@ -26,9 +26,9 @@ one chrome-trace swimlane per simulated device.
 
 Determinism: compiled artifacts are content-addressed, the cost model
 is closed-form, and cells are assembled in request order — the report
-digest is byte-identical at ``--jobs 1`` vs ``4``, cold vs resumed,
-and under a seeded fault plan with retries (the determinism battery
-pins all three).
+digest is byte-identical at ``--jobs 1`` vs ``4``, cold vs a rerun on
+the same cache directory, and under a seeded fault plan with retries
+(the determinism battery pins all three).
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class MatrixReport:
 
     def digest(self) -> str:
         """sha256 of the canonical rendering: the byte-identity anchor
-        for jobs-1-vs-4 / cold-vs-resumed / fault-plan determinism."""
+        for jobs-1-vs-4 / cold-vs-rerun / fault-plan determinism."""
         return hashlib.sha256(self.render().encode()).hexdigest()
 
 

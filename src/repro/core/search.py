@@ -169,8 +169,8 @@ def lud_heatmap(
                      device=device.name, points=len(gangs) * len(workers)):
         requests = distribution_requests(benchmark, compiler, target, gangs,
                                          workers, ladder=ladder)
-        # sweep so the grid checkpoints through the service's journal
-        # and survives injected faults point-by-point; the heat map
+        # sweep so the grid survives injected faults point-by-point
+        # (and a rerun on the same cache resumes it); the heat map
         # itself is still strict — a point that stayed failed after
         # retries/degradation aborts the map
         compiled_grid = service.sweep(requests)

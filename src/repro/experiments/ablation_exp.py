@@ -19,8 +19,6 @@ Covered:
 
 from __future__ import annotations
 
-from ..compilers.caps import CapsCompiler
-from ..compilers.pgi import PgiCompiler
 from ..devices.specs import DeviceSpec, K40, PHI_5110P, PcieLink
 from ..kernels import get_benchmark
 from ..perf.model import model_overrides
@@ -35,7 +33,8 @@ def _hydro_mic_gain() -> float:
     stages = bench.stages()
     times = {}
     for stage in ("base", "optimized"):
-        compiled = CapsCompiler().compile(stages[stage], "opencl")
+        compiled = get_default_service().compile(stages[stage], "caps",
+                                                 "opencl")
         accelerator = Accelerator(PHI_5110P)
         bench.run(accelerator, compiled, n, steps=10)
         times[stage] = accelerator.elapsed_s
@@ -50,8 +49,9 @@ def _lud_serial_gap(gpu_spec: DeviceSpec | None = None) -> float:
     samples = 16
     stages = bench.stages()
     spec = gpu_spec or K40
-    caps = CapsCompiler().compile(stages["base"], "cuda")
-    pgi = PgiCompiler().compile(stages["base"], "cuda")
+    service = get_default_service()
+    caps = service.compile(stages["base"], "caps", "cuda")
+    pgi = service.compile(stages["base"], "pgi", "cuda")
     times = {}
     for label, compiled in (("caps", caps), ("pgi", pgi)):
         accelerator = Accelerator(spec)
@@ -70,8 +70,9 @@ def _bfs_inversion(link: PcieLink | None = None) -> float:
     n = size_for("bfs", False)
     stages = bench.stages()
     times = {}
-    for label, compiler in (("caps", CapsCompiler), ("pgi", PgiCompiler)):
-        compiled = compiler().compile(stages["indep"], "cuda")
+    service = get_default_service()
+    for label in ("caps", "pgi"):
+        compiled = service.compile(stages["indep"], label, "cuda")
         kwargs = {"link": link} if link is not None else {}
         accelerator = Accelerator(K40, **kwargs)
         bench.run(accelerator, compiled, n, levels=12)
@@ -177,12 +178,13 @@ def futurework_data_regions(paper_scale: bool = False) -> ExperimentResult:
     stages = bench.stages()
     times = {}
     transfers = {}
+    service = get_default_service()
     for label, stage, compiler in (
-        ("caps-indep", "indep", CapsCompiler),
-        ("caps-dataregion", "dataregion", CapsCompiler),
-        ("pgi-indep", "indep", PgiCompiler),
+        ("caps-indep", "indep", "caps"),
+        ("caps-dataregion", "dataregion", "caps"),
+        ("pgi-indep", "indep", "pgi"),
     ):
-        compiled = compiler().compile(stages[stage], "cuda")
+        compiled = service.compile(stages[stage], compiler, "cuda")
         accelerator = Accelerator(K40)
         bench.run(accelerator, compiled, n, levels=12)
         times[label] = accelerator.elapsed_s

@@ -8,7 +8,6 @@ compiler produces what for which device.
 
 from __future__ import annotations
 
-from ..compilers.caps import CapsCompiler
 from ..compilers.framework import CompilationError
 from ..compilers.opencl import (
     IntelOpenCLCompiler,
@@ -16,9 +15,9 @@ from ..compilers.opencl import (
     OpenCLKernelSpec,
     OpenCLProgram,
 )
-from ..compilers.pgi import PgiCompiler
 from ..frontend.parser import parse_kernel, parse_module
 from ..ptx.counter import InstructionProfile
+from ..service import get_default_service
 from .common import Claim, ExperimentResult
 
 #: a simple tiled matrix-vector body used for the Fig. 1 contrast
@@ -46,7 +45,8 @@ void axpy_shared(const float *a, float *y, int n) {
 def fig1(paper_scale: bool = False) -> ExperimentResult:
     """Figure 1: tiling in CUDA (a) vs OpenACC (b)."""
     # (b) OpenACC tiling through CAPS: strip-mined, global memory only
-    acc = CapsCompiler().compile(parse_module(_ACC_TILED, "tile-demo"), "cuda")
+    acc = get_default_service().compile(
+        parse_module(_ACC_TILED, "tile-demo"), "caps", "cuda")
     acc_profile = InstructionProfile.of(acc.kernels[0].ptx)
     tiled_ir = acc.kernels[0].ir
     loop_count = len(tiled_ir.loops())
@@ -112,11 +112,12 @@ void demo(float *x, int n) {
 }
 """
     module = parse_module(source, "demo")
-    caps_cuda = CapsCompiler().compile(module, "cuda")
-    caps_opencl = CapsCompiler().compile(module, "opencl")
-    pgi_cuda = PgiCompiler().compile(module, "cuda")
+    service = get_default_service()
+    caps_cuda = service.compile(module, "caps", "cuda")
+    caps_opencl = service.compile(module, "caps", "opencl")
+    pgi_cuda = service.compile(module, "pgi", "cuda")
     try:
-        PgiCompiler().compile(module, "opencl")
+        service.compile(module, "pgi", "opencl")
         pgi_mic_rejected = False
     except CompilationError:
         pgi_mic_rejected = True

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..compilers.caps import CapsCompiler, generated_codelet
+from ..compilers.caps import generated_codelet
 from ..compilers.flags import FlagSet
 from ..compilers.opencl import NvidiaOpenCLCompiler
 from ..core.method import (
@@ -131,7 +131,8 @@ def fig7(paper_scale: bool = False) -> ExperimentResult:
 def fig8(paper_scale: bool = False) -> ExperimentResult:
     """Figure 8: the advanced thread-distribution codelet configuration."""
     bench = get_benchmark("ge")
-    compiled = CapsCompiler().compile(bench.stages()["indep"], "cuda")
+    compiled = get_default_service().compile(bench.stages()["indep"],
+                                             "caps", "cuda")
     codelet = generated_codelet(compiled.kernel("ge_fan2"))
     claims = [
         Claim("the codelet sets a 2-D global work size",
@@ -170,7 +171,7 @@ def fig9(paper_scale: bool = False) -> ExperimentResult:
     # per-kernel: ge_fan1 and the advanced ocl_fan1 are structurally
     # identical sources, isolating the pure style difference
     caps_fan1 = InstructionProfile.of(
-        CapsCompiler().compile(stages["indep"], "cuda").kernel("ge_fan1").ptx
+        service.compile(stages["indep"], "caps", "cuda").kernel("ge_fan1").ptx
     )
     ocl_fan1 = InstructionProfile.of(
         NvidiaOpenCLCompiler().compile(ocl_program).kernel("ocl_fan1").ptx
@@ -180,9 +181,10 @@ def fig9(paper_scale: bool = False) -> ExperimentResult:
     n = 64
     from ..runtime.launcher import Accelerator
     acc3 = Accelerator(K40)
-    bench.run(acc3, CapsCompiler().compile(stages["indep"], "cuda"), n)
+    bench.run(acc3, service.compile(stages["indep"], "caps", "cuda"), n)
     acc2 = Accelerator(K40)
-    bench.run(acc2, CapsCompiler().compile(stages["reorganized"], "cuda"), n)
+    bench.run(acc2, service.compile(stages["reorganized"], "caps", "cuda"),
+              n)
 
     claims = [
         ratio_claim(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..compilers.framework import CompilationError
-from ..compilers.pgi import PgiCompiler
 from ..core.method import StageResult, format_rows, run_opencl, run_stage
 from ..devices.specs import GCC, ICC, K40, PHI_5110P
 from ..kernels import get_benchmark
@@ -53,7 +52,7 @@ def fig15(paper_scale: bool = False) -> ExperimentResult:
 
     # the PGI failure (V-E): pointer conversions
     try:
-        PgiCompiler().compile(stages["base"], "cuda")
+        service.compile(stages["base"], "pgi", "cuda")
         pgi_failed, pgi_message = False, ""
     except CompilationError as exc:
         pgi_failed, pgi_message = True, str(exc)

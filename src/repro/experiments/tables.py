@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from ..analysis.dependence import Verdict, analyze_loop
-from ..compilers.caps import CapsCompiler
 from ..compilers.flags import TABLE_I
 from ..compilers.framework import PARALLELISM_MAPPING, DistStrategy
-from ..compilers.pgi import PgiCompiler
 from ..devices.specs import K40, PHI_5110P
 from ..frontend.parser import parse_kernel
 from ..kernels import TABLE_IV_ROWS, get_benchmark
@@ -14,6 +12,7 @@ from ..passes.library.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS
 from ..passes.library.pgi import PGI_DEFAULT_BLOCK
 from ..ptx.isa import CATEGORY_OF, TABLE_V
 from ..runtime.launcher import Accelerator
+from ..service import get_default_service
 from .common import Claim, ExperimentResult
 
 
@@ -137,11 +136,12 @@ def table6(paper_scale: bool = False) -> ExperimentResult:
     """Table VI: default thread distributions of the compilers."""
     lud = get_benchmark("lud")
     base = lud.module()
-    caps_base = CapsCompiler().compile(base, "cuda")
-    caps_gridified = CapsCompiler().compile(
-        get_benchmark("ge").stages()["indep"], "cuda"
+    service = get_default_service()
+    caps_base = service.compile(base, "caps", "cuda")
+    caps_gridified = service.compile(
+        get_benchmark("ge").stages()["indep"], "caps", "cuda"
     )
-    pgi = PgiCompiler().compile(base, "cuda")
+    pgi = service.compile(base, "pgi", "cuda")
 
     caps_kernel = caps_base.kernels[0]
     grid_kernel = caps_gridified.kernel("ge_fan2")
@@ -209,9 +209,11 @@ def table7(paper_scale: bool = False) -> ExperimentResult:
     rows = []
     transfer_counts = {}
     modes = {}
-    for compiler_name, cls in (("CAPS", CapsCompiler), ("PGI", PgiCompiler)):
+    service = get_default_service()
+    for compiler_name in ("CAPS", "PGI"):
         for stage in ("base", "indep"):
-            compiled = cls().compile(stages[stage], "cuda")
+            compiled = service.compile(stages[stage], compiler_name.lower(),
+                                       "cuda")
             accelerator = Accelerator(K40)
             bench.run(accelerator, compiled, n, levels=levels)
             # Table VII counts *data* transfers; the 8-byte stop-flag

@@ -5,7 +5,7 @@ compiler fragility (CAPS 3.4.1's bug list, silently wrong codegen,
 target-specific refusals).  This package injects exactly that fragility
 into the simulated tool-chain — seeded, counter-hashed, byte-for-byte
 reproducible — so the compile service's resilience machinery (retry
-with backoff, circuit breakers, hedging, checkpoint/resume; see
+with backoff and circuit breakers; see
 :mod:`repro.service.resilience`) has something real to survive:
 
 * :mod:`.plan` — :class:`FaultPlan`: seeded fault decisions keyed on

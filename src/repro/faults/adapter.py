@@ -31,7 +31,7 @@ class FaultyCompilerAdapter:
     ``compile(request, attempt)`` returns ``(artifact, penalty_s)``:
     the artifact plus any injected slow-job latency (already slept on
     the adapter's clock, so a simulated clock makes slow faults free in
-    tests while a real clock produces genuine stragglers for hedging).
+    tests while a real clock produces genuine stragglers).
     """
 
     def __init__(

@@ -5,7 +5,7 @@ The paper's portability story is dominated by *compiler fragility*: CAPS
 target-specific refusals (PAPER.md sections III-IV), and modern OpenACC
 compiler-validation studies find the same flakiness.  The simulated
 compiler models, by contrast, never crash — so the service layer's
-resilience (retry, breakers, hedging, resume) would be untestable
+resilience (retry, breakers, per-job timeouts) would be untestable
 without *injected* failures.
 
 ``FaultPlan`` is that injector, built on one rule: **no global random
@@ -15,7 +15,7 @@ injection *site* (``compile``, ``compile.slow``, ``cache.read``,
 and an **attempt counter** — a counter-based SHA-256 hash, exactly like
 the service's content addresses.  Two sweeps with the same seed and the
 same fingerprints see the same faults in the same places, regardless of
-thread interleaving, ``--jobs``, warm caches, or resume — which is what
+thread interleaving, ``--jobs``, warm caches, or reruns — which is what
 lets the determinism contract ("same seed + same fault plan => byte
 identical results") be test-enforced.
 
@@ -31,7 +31,7 @@ Fault kinds (see :func:`parse_fault_spec` for the CLI grammar):
     build today will not build on retry either).
 ``slow``
     a compile attempt is inflated by ``s`` seconds with probability *p*
-    (modeled latency — stragglers for the hedging path).
+    (modeled latency — stragglers for the per-job timeout).
 ``cache-read`` / ``cache-write`` (or ``cache`` for both)
     an :class:`~repro.service.cache.ArtifactCache` access raises a
     flaky I/O error, keyed on the per-fingerprint access counter.

@@ -8,7 +8,6 @@ from .executor import (
     clear_kernel_cache,
     compile_kernel_fn,
     execute_kernel,
-    get_default_backend,
     kernel_python_source,
     set_default_backend,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "clear_kernel_cache",
     "compile_kernel_fn",
     "execute_kernel",
-    "get_default_backend",
     "kernel_host_profile",
     "kernel_python_source",
     "set_default_backend",

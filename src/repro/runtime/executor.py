@@ -437,10 +437,6 @@ def set_default_backend(backend: str) -> None:
     _default_backend = backend
 
 
-def get_default_backend() -> str:
-    return _default_backend
-
-
 def _make_codegen(kernel: KernelFunction,
                   semantics: dict[int, LoopSemantics] | None,
                   backend: str) -> _CodeGen:
@@ -733,7 +729,7 @@ def execute_kernel(
 
     *backend* is ``"scalar"``, ``"vector"`` or ``"check"`` (run both,
     raise :class:`ExecutionError` on any bitwise output difference);
-    ``None`` uses :func:`get_default_backend`.
+    ``None`` uses the process-wide default (:func:`set_default_backend`).
     """
     backend = backend or _default_backend
     if backend not in BACKENDS:

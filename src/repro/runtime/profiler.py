@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..telemetry.registry import Reportable
 from ..telemetry.spans import get_tracer
 
 
@@ -41,24 +40,9 @@ class ProfileEvent:
 @dataclass
 class Profiler:
     events: list[ProfileEvent] = field(default_factory=list)
-    #: an attached compile-service view (any :class:`Reportable`, e.g.
-    #: :class:`repro.service.CompileService` or its ``metrics``); typed
-    #: through the telemetry protocol so the runtime layer stays
-    #: independent of the service layer
-    service: Reportable | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-
-    def attach_service(self, service: Reportable) -> None:
-        """Surface a compile service's cache/latency counters in
-        :meth:`report` (the nvprof stand-in gains the compile-cache view)."""
-        if not isinstance(service, Reportable):
-            raise TypeError(
-                "attach_service expects an object with report_lines(), got "
-                f"{type(service).__name__}"
-            )
-        self.service = service
 
     def record(self, kind: str, label: str, seconds: float, nbytes: int = 0,
                device: str = "") -> None:
@@ -138,8 +122,6 @@ class Profiler:
             f"({h2d} H2D, {d2h} D2H, "
             f"{launches} launches)"
         )
-        if self.service is not None:
-            lines.extend(self.service.report_lines())
         return "\n".join(lines)
 
     def clear(self) -> None:

@@ -3,7 +3,7 @@
 One frame is one JSON object on one line (UTF-8, ``\\n``-terminated) —
 grep-able, implementable from any language with a socket and a JSON
 library, and streaming-friendly (the same framing as the telemetry JSONL
-sink and the sweep journal).
+sink).
 
 Requests carry ``{"id": <int>, "op": <str>, "client": <str>, ...}``;
 responses echo the ``id`` with either ``"ok": true`` and an op-specific

@@ -13,8 +13,8 @@ points.  This package turns those repeated compiles into a service:
   :class:`repro.telemetry.MetricsRegistry` and surface through
   :meth:`repro.runtime.profiler.Profiler.report`;
 * :mod:`.resilience` — retry policies with deterministic backoff,
-  simulated clocks, per-target circuit breakers, and the sweep
-  checkpoint journal (pairs with :mod:`repro.faults`).
+  simulated clocks and per-target circuit breakers (pairs with
+  :mod:`repro.faults`).
 
 See ``docs/SERVICE.md`` for the architecture and ``docs/FAULTS.md``
 for the fault-injection + resilience story.
@@ -41,7 +41,6 @@ from .resilience import (
     Clock,
     RetryPolicy,
     SimClock,
-    SweepJournal,
     SystemClock,
 )
 from .scheduler import (
@@ -68,7 +67,6 @@ __all__ = [
     "MISS",
     "RetryPolicy",
     "SimClock",
-    "SweepJournal",
     "SystemClock",
     "canonical_flags",
     "fingerprint_parts",

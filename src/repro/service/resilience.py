@@ -1,6 +1,6 @@
 """Resilience primitives for the compile service: retry policies with
-deterministic backoff, simulated clocks, per-target circuit breakers,
-and the sweep checkpoint journal.
+deterministic backoff, simulated clocks and per-target circuit
+breakers.
 
 Everything here obeys the same determinism discipline as
 :mod:`repro.faults`: no global random state, no wall-clock dependence in
@@ -15,12 +15,10 @@ and sleeping goes through a :class:`Clock` so tests substitute
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "Clock",
@@ -29,7 +27,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "DEFAULT_FALLBACKS",
-    "SweepJournal",
 ]
 
 
@@ -191,75 +188,3 @@ class CircuitBreaker:
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {"open": sorted("-".join(k) for k in self._open)}
-
-
-class SweepJournal:
-    """A JSONL checkpoint of completed sweep points.
-
-    Each completed slot appends one line — ``{"fp": ..., "status":
-    "ok" | "degraded" | "error", ...}`` — flushed immediately, so a
-    killed sweep leaves a valid prefix.  On resume the journal is
-    loaded first; journaled fingerprints are *not* resubmitted:
-
-    * ``ok`` — the artifact is re-materialized through the service's
-      cache (free with a ``--cache-dir`` disk tier; recompiled
-      otherwise — byte-identical either way, the compilers are pure);
-    * ``degraded`` — the recorded fallback route is recompiled and
-      re-marked;
-    * ``error`` — the :class:`~repro.service.scheduler.JobError` is
-      reconstructed field-for-field from the journal line.
-
-    A resumed sweep therefore equals an uninterrupted one byte for
-    byte (test-enforced in ``tests/test_service_resilience.py``).
-    """
-
-    def __init__(self, path: str | Path, resume: bool = True) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[str, dict[str, Any]] = {}
-        if resume and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn final line from a killed run
-                if isinstance(entry, dict) and "fp" in entry:
-                    self._entries[entry["fp"]] = entry
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, fingerprint: str) -> dict[str, Any] | None:
-        with self._lock:
-            return self._entries.get(fingerprint)
-
-    def record(self, fingerprint: str, entry: dict[str, Any]) -> None:
-        """Append one completed point (idempotent per fingerprint)."""
-        entry = {"fp": fingerprint, **entry}
-        with self._lock:
-            if fingerprint in self._entries:
-                return
-            self._entries[fingerprint] = entry
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def fingerprints(self) -> Iterable[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -19,7 +19,7 @@ through :attr:`CompileService.metrics`), and (when ``jobs > 1``) a
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
-with three mechanisms, all off by default and all deterministic:
+with two mechanisms, both off by default and both deterministic:
 
 * **retry** (:class:`~repro.service.resilience.RetryPolicy`) —
   transient failures are re-attempted with exponential backoff and
@@ -31,11 +31,11 @@ with three mechanisms, all off by default and all deterministic:
   (compiler, target) consecutive-failure breaker advanced in *gather
   order*; once open, failed sweep points degrade to the route's
   fallback (CAPS/OpenCL -> CAPS/CUDA), marked ``degraded=True`` on the
-  artifact — never silent;
-* **checkpoint/resume**
-  (:class:`~repro.service.resilience.SweepJournal`) — completed sweep
-  points append to a JSONL journal; a resumed sweep skips journaled
-  fingerprints and equals an uninterrupted one byte for byte.
+  artifact — never silent.
+
+A killed sweep resumes by running it again on the same cache
+directory: finished points (refusals included) come back from the
+content-addressed store, and the rest compile.
 
 Determinism contract: the compiler models are pure functions of the
 fingerprinted inputs, requests are materialized by the *caller* in a
@@ -76,7 +76,6 @@ from .resilience import (
     CircuitBreaker,
     Clock,
     RetryPolicy,
-    SweepJournal,
     SystemClock,
 )
 
@@ -194,7 +193,6 @@ class CompileService:
         breaker: CircuitBreaker | None = None,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
-        journal: SweepJournal | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cache: Any = (cache if cache is not None
@@ -216,7 +214,6 @@ class CompileService:
         self.breaker = breaker
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
-        self.journal = journal
         self._compile_fn = compile_fn or _default_compile_fn
         self._adapter: FaultyCompilerAdapter | None = None
         if fault_plan is not None:
@@ -417,57 +414,32 @@ class CompileService:
             )
         return future
 
-    def sweep(self, requests: Iterable[CompileRequest],
-              journal: SweepJournal | None = None) -> list[Any]:
+    def sweep(self, requests: Iterable[CompileRequest]) -> list[Any]:
         """Fault-tolerant batch: each slot is an artifact or a
-        :class:`JobError`; a bad point never kills the sweep.
-
-        With a *journal* (explicit, or the service-level default),
-        completed points are checkpointed as they gather and journaled
-        fingerprints from a previous run are skipped — the resume path.
-        """
+        :class:`JobError`; a bad point never kills the sweep."""
         materialized = list(requests)
-        journal = journal if journal is not None else self.journal
         with get_tracer().span(
             "service.sweep", category="service",
             points=len(materialized), jobs=self.jobs,
-            resumed=len(journal) if journal is not None else 0,
         ):
-            return self._sweep(materialized, journal)
-
-    def _sweep(self, materialized: list[CompileRequest],
-               journal: SweepJournal | None = None) -> list[Any]:
-        pending: dict[int, Future] = {}
-        for index, request in enumerate(materialized):
-            if (journal is not None
-                    and journal.lookup(request.fingerprint) is not None):
-                continue  # checkpointed by a previous run: replay at gather
-            pending[index] = self.submit(request)
-        results: list[Any] = []
-        for index, request in enumerate(materialized):
-            if index not in pending:
-                results.append(self._replay_journal_entry(
-                    request, journal.lookup(request.fingerprint)  # type: ignore[union-attr,arg-type]
-                ))
-                continue
-            try:
-                result = self._gather(request, pending[index])
-            except JobError as err:
-                result = err
-            except Exception as exc:  # compiler error captured in-slot
-                result = JobError(
-                    request.label or request.module.name,
-                    request.fingerprint,
-                    "fault" if is_injected_fault(exc) else "compile-error",
-                    str(exc),
-                )
-            if self.breaker is not None:
-                result = self._admit(request, result)
-            if journal is not None:
-                journal.record(request.fingerprint,
-                               self._journal_entry(result))
-            results.append(result)
-        return results
+            pending = [self.submit(request) for request in materialized]
+            results: list[Any] = []
+            for request, future in zip(materialized, pending):
+                try:
+                    result = self._gather(request, future)
+                except JobError as err:
+                    result = err
+                except Exception as exc:  # compiler error captured in-slot
+                    result = JobError(
+                        request.label or request.module.name,
+                        request.fingerprint,
+                        "fault" if is_injected_fault(exc) else "compile-error",
+                        str(exc),
+                    )
+                if self.breaker is not None:
+                    result = self._admit(request, result)
+                results.append(result)
+            return results
 
     # -- circuit breaker -------------------------------------------------------
 
@@ -540,53 +512,8 @@ class CompileService:
             artifact.degraded_to = "-".join(fallback)
         except AttributeError:
             # artifacts without a __dict__ (e.g. test stubs returning
-            # builtins) still surface degradation via metrics + journal
+            # builtins) still surface degradation via the metrics
             pass
-
-    # -- journal replay --------------------------------------------------------
-
-    def _journal_entry(self, result: Any) -> dict[str, Any]:
-        if isinstance(result, JobError):
-            return {
-                "status": "error", "kind": result.kind,
-                "message": result.message, "label": result.label,
-                "seconds": result.seconds,
-            }
-        if getattr(result, "degraded", False):
-            compiler, _, target = result.degraded_to.partition("-")
-            return {"status": "degraded", "compiler": compiler,
-                    "target": target, "from": result.degraded_from}
-        return {"status": "ok"}
-
-    def _replay_journal_entry(self, request: CompileRequest,
-                              entry: dict[str, Any]) -> Any:
-        """Materialize a checkpointed slot byte-identically: errors are
-        rebuilt field-for-field; artifacts re-materialize through the
-        cache (free with a disk tier, a pure recompile otherwise)."""
-        status = entry.get("status")
-        if status == "error":
-            return JobError(
-                entry.get("label", request.label or request.module.name),
-                request.fingerprint,
-                entry.get("kind", "error"),
-                entry.get("message", ""),
-                float(entry.get("seconds", 0.0)),
-            )
-        if status == "degraded":
-            original = entry.get(
-                "from",
-                "-".join((request.compiler.lower(), request.target.lower())),
-            )
-            fb_request = CompileRequest(
-                request.module, entry["compiler"], entry["target"],
-                request.flags, request.device, request.label,
-            )
-            artifact = self.compile_request(fb_request)
-            compiler, _, target = original.partition("-")
-            self._mark_degraded(artifact, (compiler, target),
-                                (entry["compiler"], entry["target"]))
-            return artifact
-        return self.compile_request(request)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -594,8 +521,6 @@ class CompileService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self.journal is not None:
-            self.journal.close()
 
     def __enter__(self) -> "CompileService":
         return self

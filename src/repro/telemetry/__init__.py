@@ -11,8 +11,8 @@ simulated tool-chain, process-wide:
 * :mod:`.registry` — the unified counter/gauge/histogram metrics
   registry, the only store of the compile service's, cache's and
   daemon's counters (their ``snapshot()`` methods are
-  :class:`CounterView` reads of it), plus the shared :func:`percentile`
-  and the :class:`Reportable` protocol;
+  :class:`CounterView` reads of it), plus the shared
+  :func:`percentile`;
 * :mod:`.export` — JSON-lines and Chrome trace-event sinks (load the
   latter in Perfetto / ``chrome://tracing``; one lane per scheduler
   worker) and the hierarchical text report behind ``repro telemetry``.
@@ -37,7 +37,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Reportable,
     get_registry,
     percentile,
     reset_registry,
@@ -60,7 +59,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
-    "Reportable",
     "Span",
     "SpanEvent",
     "Tracer",

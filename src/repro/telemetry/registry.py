@@ -9,16 +9,12 @@ export, the CI artifact — reads the same instruments, so there is no
 copy step to forget or to drift.
 
 :func:`percentile` lives here as the single shared implementation.
-
-The :class:`Reportable` protocol is the explicit, typed version of the
-old ``hasattr(obj, "report_lines")`` contract between the profiler and
-the service layer.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 __all__ = [
     "Counter",
@@ -26,22 +22,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Reportable",
     "get_registry",
     "percentile",
     "reset_registry",
 ]
-
-
-@runtime_checkable
-class Reportable(Protocol):
-    """Anything that can render itself as report lines — the contract
-    :meth:`repro.runtime.profiler.Profiler.attach_service` requires, and
-    which :class:`repro.service.scheduler.CompileService`, its
-    ``metrics`` view, and :class:`MetricsRegistry` all satisfy."""
-
-    def report_lines(self) -> list[str]:
-        ...
 
 
 def percentile(values: list[float], frac: float) -> float:

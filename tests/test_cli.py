@@ -142,17 +142,24 @@ class TestResilienceFlags:
                      "--faults", "warp-drive:p=0.5"]) == 2
         assert "bad --faults spec" in capsys.readouterr().err
 
-    def test_difftest_resume_skips_journaled_points(self, tmp_path, capsys):
-        journal = str(tmp_path / "sweep.jsonl")
-        assert main(["difftest", "--seeds", "2", "--resume", journal]) == 0
-        first = capsys.readouterr().out
-        lines = (tmp_path / "sweep.jsonl").read_text().splitlines()
-        assert len(lines) == 8  # 2 cases x 4 pairs, one line per point
-        assert main(["difftest", "--seeds", "2", "--resume", journal]) == 0
-        second = capsys.readouterr().out
-        assert (tmp_path / "sweep.jsonl").read_text().splitlines() == lines
-        assert first.split("\n-- compile service --")[0] == \
-            second.split("\n-- compile service --")[0]
+    def test_difftest_rerun_on_cache_dir_compiles_nothing(self, tmp_path,
+                                                           capsys):
+        """Rerunning a sweep on the same --cache-dir is how a killed
+        sweep resumes: finished points (refusals included) come back
+        from the store."""
+        from repro.telemetry import get_registry, reset_registry
+
+        argv = ["difftest", "--seeds", "2", "--cache-dir", str(tmp_path)]
+        outputs, compiles = [], []
+        for _ in range(2):
+            reset_registry()
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            compiles.append(get_registry().counter("service.compiles").value)
+        reset_registry()
+        assert compiles == [8, 0]  # 2 cases x 4 pairs, then all from disk
+        assert outputs[0].split("\n-- compile service --")[0] == \
+            outputs[1].split("\n-- compile service --")[0]
 
 
 class TestServerCli:
@@ -247,6 +254,8 @@ class TestExecSweep:
     @pytest.mark.parametrize("argv", [
         ["exec-sweep", "--exec-jobs", "2"],
         ["heatmap", "--hedge", "0.1"],
+        ["heatmap", "--resume", "j.jsonl"],
+        ["serve", "--resume", "j.jsonl"],
         ["serve", "--batch-window", "0.1"],
         ["serve", "--max-batch", "4"],
     ])

@@ -1,5 +1,6 @@
 """The portability matrix end-to-end, and its determinism battery:
-byte-identical digests at jobs 1 vs 4, cold vs journal-resumed, and
+byte-identical digests at jobs 1 vs 4, cold vs a rerun on the same
+cache directory, and
 under a seeded transient fault plan with retries."""
 
 import json
@@ -11,7 +12,7 @@ from repro.core.matrix import MATRIX_PAIRS, device_for_target, matrix_requests
 from repro.devices import K40, NVLINK_LINK, PHI_5110P
 from repro.faults.plan import parse_fault_spec
 from repro.kernels import MATRIX_FAMILIES
-from repro.service import CompileService, RetryPolicy, SweepJournal
+from repro.service import ArtifactCache, CompileService, RetryPolicy
 from repro.telemetry import Tracer, configure_tracer, reset_tracer
 
 SMALL = dict(families=("stencil", "pic"), n=8, device_counts=(1, 2))
@@ -107,7 +108,7 @@ class TestCostModel:
 
 
 class TestDeterminism:
-    """The three byte-identity legs ISSUE 10 pins."""
+    """The three byte-identity legs of the matrix digest."""
 
     def test_jobs_1_vs_4(self):
         serial = small_matrix(service=CompileService(jobs=1))
@@ -116,14 +117,14 @@ class TestDeterminism:
         assert pooled.render() == serial.render()
         assert pooled.digest() == serial.digest()
 
-    def test_cold_vs_resumed(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+    def test_cold_vs_rerun(self, tmp_path):
         cold = small_matrix(service=CompileService(
-            journal=SweepJournal(path)))
-        assert path.exists() and path.read_text().strip()
-        resumed = small_matrix(service=CompileService(
-            journal=SweepJournal(path)))
-        assert resumed.digest() == cold.digest()
+            cache=ArtifactCache(cache_dir=tmp_path)))
+        assert any(tmp_path.iterdir())
+        rerun_service = CompileService(cache=ArtifactCache(cache_dir=tmp_path))
+        rerun = small_matrix(service=rerun_service)
+        assert rerun.digest() == cold.digest()
+        assert rerun_service.metrics.compiles == 0
 
     def test_under_seeded_fault_plan(self):
         baseline = small_matrix()

@@ -1,24 +1,11 @@
-"""The runtime profiler, including the attached compile-service section."""
+"""The runtime profiler: event timeline, counters, report, trace bridge."""
 
 import threading
 
 import pytest
 
-from repro.frontend import parse_module
 from repro.runtime.profiler import ProfileEvent, Profiler
-from repro.service import CompileService
 from repro.telemetry.spans import configure_tracer, reset_tracer
-
-SOURCE = """
-#pragma acc kernels
-void demo(float *a, const float *b, int n) {
-  int i;
-  #pragma acc loop independent
-  for (i = 0; i < n; i++) {
-    a[i] = b[i] * 2.0f;
-  }
-}
-"""
 
 
 class TestEvents:
@@ -130,23 +117,6 @@ class TestReport:
         text = prof.report()
         assert "1 H2D" in text
         assert "1 launches" in text
-
-    def test_attach_service_adds_cache_section(self):
-        service = CompileService()
-        module = parse_module(SOURCE, "demo")
-        service.compile(module, "caps", "cuda")
-        service.compile(module, "caps", "cuda")
-
-        prof = Profiler()
-        prof.record("launch", "demo", 0.002, device="K40")
-        prof.attach_service(service)
-        text = prof.report()
-        assert "compile service" in text
-        assert "1 cache hits" in text
-
-    def test_attach_service_rejects_non_services(self):
-        with pytest.raises(TypeError):
-            Profiler().attach_service(object())
 
     def test_report_without_service_has_no_cache_section(self):
         prof = Profiler()

@@ -1,4 +1,4 @@
-"""Resilient scheduling: retries, breakers, hedging, journal resume.
+"""Resilient scheduling: retries, breakers, timeouts, rerun on a cache.
 
 Everything here runs on a :class:`SimClock` (no real sleeping) except
 the timeout-discard regression test, which needs genuine wall-clock
@@ -10,7 +10,12 @@ import pickle
 import pytest
 
 from repro.compilers.framework import CompilationError
-from repro.faults import FaultPlan, FaultRule, TransientCompileFault
+from repro.faults import (
+    FaultPlan,
+    FaultRule,
+    PersistentCompileFault,
+    TransientCompileFault,
+)
 from repro.frontend import parse_module
 from repro.service import (
     ArtifactCache,
@@ -20,7 +25,6 @@ from repro.service import (
     JobError,
     RetryPolicy,
     SimClock,
-    SweepJournal,
 )
 
 SOURCE = """
@@ -269,61 +273,78 @@ class TestTimeoutDiscard:
         assert cache.stats.redundant_stores == 1
 
 
-class TestJournalResume:
-    def test_resume_equals_uninterrupted(self, tmp_path):
-        """Kill a sweep halfway (simulated: journal written for a prefix),
-        resume it, and compare byte-for-byte with an uninterrupted run."""
+class TestCacheRerun:
+    """A killed sweep resumes by running it again on the same store."""
+
+    def test_rerun_equals_uninterrupted(self):
+        """Kill a sweep after 3 of 6 points, rerun it on the same cache,
+        and compare byte-for-byte with an uninterrupted run."""
         requests = sweep_requests(6)
-        plain = CompileService()
-        expected = [artifact_key(r) for r in plain.sweep(requests)]
+        expected = [artifact_key(r) for r in CompileService().sweep(requests)]
 
-        path = tmp_path / "journal.jsonl"
         cache = ArtifactCache()  # the shared tier a --cache-dir would give
-        first = CompileService(cache=cache)
-        with SweepJournal(path) as journal:
-            first._sweep(requests[:3], journal)  # "killed" after 3 points
-        assert len(path.read_text().splitlines()) == 3
+        CompileService(cache=cache).sweep(requests[:3])  # "killed" here
+        rerun_service = CompileService(cache=cache)
+        rerun = rerun_service.sweep(requests)
+        assert [artifact_key(r) for r in rerun] == expected
+        # only the unfinished half compiled; the rest came from the store
+        assert rerun_service.metrics.compiles == 3
+        assert rerun_service.metrics.cache_hits == 3
 
-        resumed_service = CompileService(cache=cache)
-        with SweepJournal(path) as journal:
-            assert len(journal) == 3
-            resumed = resumed_service._sweep(requests, journal)
-        assert [artifact_key(r) for r in resumed] == expected
-        # only the un-journaled half compiled; journaled points
-        # re-materialized through the shared cache
-        assert resumed_service.metrics.compiles == 3
-        assert resumed_service.metrics.cache_hits == 3
+    def test_rerun_with_breaker_equals_uninterrupted(self):
+        """A persistently failing route behind a breaker: the rerun
+        advances a fresh breaker through every point, so it degrades
+        exactly the points the uninterrupted sweep degraded."""
+        def failing_opencl(request):
+            if request.target == "opencl":
+                raise PersistentCompileFault(
+                    "injected", site="compile.persistent",
+                    fingerprint=request.fingerprint,
+                )
+            from repro.core.method import compile_stage
 
-    def test_journal_replays_errors_field_for_field(self, tmp_path, module):
+            return compile_stage(request.module, request.compiler,
+                                 request.target, request.flags)
+
+        def service(cache=None):
+            return CompileService(
+                cache=cache, compile_fn=failing_opencl, clock=SimClock(),
+                breaker=CircuitBreaker(failure_threshold=2),
+            )
+
+        requests = sweep_requests(4, target="opencl")
+        expected = [artifact_key(r) for r in service().sweep(requests)]
+        assert [k[0] for k in expected] == ["error", "ok", "ok", "ok"]
+
+        cache = ArtifactCache()
+        service(cache).sweep(requests[:1])  # "killed" after point 1
+        rerun_service = service(cache)
+        rerun = rerun_service.sweep(requests)
+        assert [artifact_key(r) for r in rerun] == expected
+        assert isinstance(rerun[0], JobError) and rerun[0].kind == "fault"
+        assert all(slot.degraded for slot in rerun[1:])
+        assert rerun_service.metrics.degraded == 3
+
+    def test_cached_refusal_reruns_field_for_field(self, tmp_path, module):
         def failing(request):
             raise CompilationError("deterministic refusal")
 
         requests = [CompileRequest(module, "caps", "cuda", label="bad")]
-        path = tmp_path / "journal.jsonl"
-        first = CompileService(compile_fn=failing,
-                               journal=SweepJournal(path))
-        errors = first.sweep(requests)
-        first.close()
-        assert isinstance(errors[0], JobError)
+        first = CompileService(cache=ArtifactCache(cache_dir=tmp_path),
+                               compile_fn=failing)
+        (error,) = first.sweep(requests)
+        assert isinstance(error, JobError)
 
-        second = CompileService(compile_fn=failing,
-                                journal=SweepJournal(path))
-        replayed = second.sweep(requests)
-        second.close()
-        assert isinstance(replayed[0], JobError)
-        assert (replayed[0].label, replayed[0].kind, replayed[0].message) == (
-            errors[0].label, errors[0].kind, errors[0].message
-        )
-        assert second.metrics.requests == 0  # never resubmitted
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"fp": "x", "status": "ok"}\n{"fp": "y", "sta')
-        journal = SweepJournal(path)
-        assert len(journal) == 1
-        assert journal.lookup("x") == {"fp": "x", "status": "ok"}
-        assert journal.lookup("y") is None
-        journal.close()
+        # a new process: a fresh store over the same directory
+        second = CompileService(cache=ArtifactCache(cache_dir=tmp_path),
+                                compile_fn=failing)
+        (rerun,) = second.sweep(requests)
+        assert isinstance(rerun, JobError)
+        assert (rerun.label, rerun.fingerprint, rerun.kind, rerun.message,
+                rerun.seconds) == (error.label, error.fingerprint,
+                                   error.kind, error.message, error.seconds)
+        assert second.metrics.compiles == 0
+        assert second.metrics.cache_hits == 1
 
 
 class TestDeterminismUnderFaults:

@@ -1,11 +1,10 @@
-"""Metrics registry: instruments, dedup of percentile(), Reportable."""
+"""Metrics registry: instruments and dedup of percentile()."""
 
 import threading
 
 import pytest
 
 from repro.frontend import parse_module
-from repro.runtime.profiler import Profiler
 import repro.service
 from repro.service import CompileService
 from repro.telemetry.registry import (
@@ -13,7 +12,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Reportable,
     percentile,
 )
 
@@ -74,32 +72,6 @@ class TestPercentileDedup:
         assert percentile([5.0], 0.95) == 5.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 0.0) == 1.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
-
-
-class TestReportable:
-    def test_registry_is_reportable(self):
-        assert isinstance(MetricsRegistry(), Reportable)
-
-    def test_service_components_are_reportable(self):
-        service = CompileService()
-        assert isinstance(service, Reportable)
-        assert isinstance(service.metrics, Reportable)
-
-    def test_plain_object_is_not(self):
-        assert not isinstance(object(), Reportable)
-
-    def test_profiler_attach_uses_protocol(self):
-        class FakeService:
-            def report_lines(self):
-                return ["-- fake --"]
-
-        prof = Profiler()
-        prof.attach_service(FakeService())
-        assert "-- fake --" in prof.report()
-
-    def test_profiler_attach_rejects_non_reportable(self):
-        with pytest.raises(TypeError, match="report_lines"):
-            Profiler().attach_service(object())
 
 
 class TestRegistry:
