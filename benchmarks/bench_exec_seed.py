@@ -1,15 +1,12 @@
 """Regenerate BENCH_exec.json: the raw-speed trajectory of the executor.
 
 Runs the execution-heavy GE/LUD/Hydro sweep (repro.runtime.parallel)
-through three regimes:
+through two regimes, each on a cold memo cache:
 
 * **scalar** — the interpreter-grade scalar backend;
-* **vector** — the vectorizing NumPy backend, cold memo cache;
-* **warm-persistent** — a fresh memory cache re-entering vectorized
-  plans from the persistent disk tier: provably codegen-free (zero
-  ``execute.vectorize`` spans).
+* **vector** — the vectorizing NumPy backend.
 
-Every regime must produce byte-identical buffers (one shared digest).
+Both regimes must produce byte-identical buffers (one shared digest).
 
 Run from the repo root:
 
@@ -22,15 +19,13 @@ CI regression gate (compares against the committed baseline):
 
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from repro.runtime.executor import clear_kernel_cache, configure_plan_cache
+from repro.runtime.executor import clear_kernel_cache
 from repro.runtime.parallel import run_exec_sweep
 from repro.service import CompileService
 from repro.telemetry import get_registry, reset_registry
-from repro.telemetry.spans import configure_tracer, reset_tracer
 
 SIZES = {"ge": 512, "lud": 768, "hydro": 512}
 REPEATS = 4
@@ -38,7 +33,7 @@ BASELINE = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
 
 
 def _cold(backend: str) -> dict:
-    clear_kernel_cache(memory_only=True)
+    clear_kernel_cache()
     reset_registry()
     start = time.perf_counter()
     result = run_exec_sweep(service=CompileService(), backend=backend,
@@ -49,33 +44,12 @@ def _cold(backend: str) -> dict:
 
 
 def run_bench() -> dict:
-    with tempfile.TemporaryDirectory() as plans:
-        configure_plan_cache(plans)
-        try:
-            clear_kernel_cache()
-            scalar = _cold(backend="scalar")
-            vector = _cold(backend="vector")
+    scalar = _cold(backend="scalar")
+    vector = _cold(backend="vector")
 
-            # warm-persistent: fresh memory tier, plans re-entered from
-            # disk; the tracer proves no execute.vectorize span ran
-            clear_kernel_cache(memory_only=True)
-            reset_registry()
-            tracer = configure_tracer(enabled=True)
-            warm = _cold(backend="vector")
-            vectorize_spans = len(tracer.spans_named("execute.vectorize"))
-            reset_tracer()
-        finally:
-            configure_plan_cache(None)
-            clear_kernel_cache()
-
-    digests = {r["digest"] for r in (scalar, vector, warm)}
-    assert len(digests) == 1, f"regimes disagree bytewise: {digests}"
-    assert vectorize_spans == 0, (
-        f"warm-persistent run emitted {vectorize_spans} "
-        "execute.vectorize spans: plans were not loaded from disk"
-    )
-    assert warm["counters"].get("executor.plan_disk_hit", 0) > 0, (
-        warm["counters"]
+    assert scalar["digest"] == vector["digest"], (
+        f"regimes disagree bytewise: {scalar['digest']} != "
+        f"{vector['digest']}"
     )
     # "seconds" is execution-only (run_tasks); wall_s includes the cold
     # compile, which is identical across regimes and would dilute the
@@ -94,18 +68,12 @@ def run_bench() -> dict:
         "latency_s": {
             "scalar": round(scalar["seconds"], 4),
             "vector_cold": round(vector["seconds"], 4),
-            "warm_persistent": round(warm["seconds"], 4),
         },
         "vector_speedup": round(vector_speedup, 1),
-        "warm_vectorize_spans": vectorize_spans,
-        "counters": {
-            "cold": vector["counters"],
-            "warm_persistent": warm["counters"],
-        },
+        "counters": {"cold": vector["counters"]},
         "notes": (
-            "scalar/vector run cold; warm-persistent re-enters "
-            "vectorized plans from the disk tier (zero execute.vectorize "
-            "spans). All three regimes are byte-identical (one digest)."
+            "scalar/vector each run on a cold memo cache; both regimes "
+            "are byte-identical (one digest)."
         ),
     }
 
@@ -131,8 +99,6 @@ def check_baseline(record: dict) -> int:
             f"cold counter drift: {record['counters']['cold']} != "
             f"{baseline['counters']['cold']}"
         )
-    if record["warm_vectorize_spans"] != 0:
-        failures.append("warm-persistent run is no longer codegen-free")
     floor = max(2.0, baseline["vector_speedup"] * 0.5)
     if record["vector_speedup"] < floor:
         failures.append(

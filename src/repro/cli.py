@@ -19,8 +19,7 @@ Commands:
 * ``client``         — talk to a running daemon: ``compile``, ``sweep``,
   ``status``, ``stats`` (or ``--spawn`` an ephemeral in-process one).
 * ``exec-sweep``     — run the execution-heavy GE/LUD/Hydro kernel sweep
-  and print its result digest (docs/EXECUTOR.md); ``--cache-dir``
-  persists compiled kernel plans so warm runs skip codegen entirely.
+  and print its result digest (docs/EXECUTOR.md).
 
 ``heatmap`` and ``autotune`` accept ``--ladder RUNGS`` to climb the
 registered optimization rungs (``fuse-reuse``, ``shared-tile``; see
@@ -34,11 +33,12 @@ flags to configure it; with any of them set, the service's stats are
 appended (``exec-sweep`` excepted: its stdout is one JSON document), and
 the rest of the output is byte-identical to the default.
 
-``experiment``, ``heatmap``, ``autotune``, ``bench``, and ``difftest``
-accept ``--exec-backend {scalar,vector,check}`` to pick the kernel
-executor backend — the scalar interpreter, the vectorizing NumPy backend,
-or a differential mode that runs both and asserts bit-identical results
-(see docs/EXECUTOR.md) — and ``--trace FILE`` (plus
+``experiment``, ``exec-sweep`` and ``difftest`` — the commands that
+execute kernels — accept ``--exec-backend {scalar,vector,check}`` to pick
+the kernel executor backend — the scalar interpreter, the vectorizing
+NumPy backend, or a differential mode that runs both and asserts
+bit-identical results (see docs/EXECUTOR.md).  Every command that
+compiles accepts ``--trace FILE`` (plus
 ``--trace-format {jsonl,chrome}``) to record
 the run's tool-chain timeline — frontend, compiler passes, PTX codegen,
 cache hits/compiles, scheduler worker lanes, modeled runtime events —
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None, metavar="B",
             help="kernel executor backend: scalar interpreter, vectorizing "
                  "NumPy backend, or check (run both, assert bit-identical; "
-                 "docs/EXECUTOR.md); default scalar",
+                 "docs/EXECUTOR.md); default scalar (exec-sweep: vector)",
         )
 
     def add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -541,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--opencl", action="store_true",
                    help="include the hand-written OpenCL version")
-    add_exec_flags(p)
     add_trace_flags(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -587,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'full', or 'none' (default none)")
     add_service_flags(p)
     add_resilience_flags(p)
-    add_exec_flags(p)
     add_trace_flags(p)
     p.set_defaults(func=_cmd_heatmap)
 
@@ -599,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'full', or 'none' (default none)")
     add_service_flags(p)
     add_resilience_flags(p)
-    add_exec_flags(p)
     add_trace_flags(p)
     p.set_defaults(func=_cmd_autotune)
 
@@ -758,24 +755,14 @@ def main(argv: list[str] | None = None) -> int:
     backend = getattr(args, "exec_backend", None)
     if backend is not None:
         # every execute_kernel() call in the process honors this default,
-        # so bench/experiment/heatmap/autotune need no extra plumbing
+        # so experiment needs no extra plumbing
         from .runtime.executor import set_default_backend
 
         set_default_backend(backend)
 
-    def dispatch(a: argparse.Namespace) -> int:
-        cache_dir = getattr(a, "cache_dir", None)
-        if cache_dir is not None:
-            # the persistent kernel-plan tier lives under the same
-            # content-addressed cache directory as compiled artifacts
-            from .runtime.executor import configure_plan_cache
-
-            configure_plan_cache(Path(cache_dir) / "plans")
-        return a.func(a)
-
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
-        return _cli_errors(dispatch)(args)
+        return _cli_errors(args.func)(args)
 
     from .telemetry import (
         configure_tracer,
@@ -789,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
     configure_tracer(enabled=True)
     reset_registry()
     try:
-        return _cli_errors(dispatch)(args)
+        return _cli_errors(args.func)(args)
     finally:
         count = write_trace(trace_path, args.trace_format, get_tracer(),
                             get_registry())

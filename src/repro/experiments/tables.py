@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..analysis.dependence import Verdict, analyze_loop
 from ..compilers.flags import TABLE_I
 from ..compilers.framework import PARALLELISM_MAPPING, DistStrategy
-from ..devices.specs import K40, PHI_5110P
+from ..devices.specs import K40
 from ..frontend.parser import parse_kernel
 from ..kernels import TABLE_IV_ROWS, get_benchmark
 from ..passes.library.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS

@@ -38,20 +38,15 @@ paying source generation + ``exec``; ``executor.cache_hit``,
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import keyword
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from ..service.cache import MISS, DiskTier, SingleFlight, ensure_writable_dir
+from ..service.cache import SingleFlight
 from ..telemetry.registry import get_registry
 from ..telemetry.spans import get_tracer
 
@@ -455,92 +450,31 @@ def _make_codegen(kernel: KernelFunction,
 # fingerprint is content-addressed (repro.service.fingerprint over the
 # canonical mini-C print), and semantics loop_ids are mapped to pre-order
 # loop *positions*, so a re-parsed identical kernel with fresh loop_ids
-# still hits.
-#
-# Two tiers.  The in-memory tier is an LRU OrderedDict holding compiled
-# functions (they cannot be pickled, so it is not a service store).  The
-# optional *persistent* tier (configure_plan_cache) is a DiskTier of
-# generated Python source, one JSON file per key; a warm process
-# re-enters plans by exec()ing the persisted source, skipping
-# _make_codegen — and therefore the execute.vectorize span — entirely.
-# Every persisted plan carries the PLAN_SCHEMA codegen version stamp.  A
-# plan that fails to load for any reason (corrupt JSON, a stamp
-# mismatch, source that does not define a kernel) is a miss: the file is
-# dropped and the plan recompiled, so a stale plan can never execute.
-
-#: codegen version stamp for persisted plans.  Bump whenever the scalar
-#: or vector lowering changes in any observable way: stale plans become
-#: unloadable rather than silently wrong.
-PLAN_SCHEMA = "exec-plan-v1"
+# still hits.  The cache is an in-memory LRU OrderedDict of compiled
+# functions; nothing is persisted, so no plan ever comes from disk.
 
 _CACHE_CAP = 512
-_fn_cache: OrderedDict[tuple, tuple] = OrderedDict()
+_fn_cache: OrderedDict[tuple, object] = OrderedDict()
 _fn_cache_lock = threading.Lock()
 _fn_flights = SingleFlight()
-
-_plan_tier: DiskTier | None = None
-
-
-def configure_plan_cache(path: str | os.PathLike[str] | None) -> Path | None:
-    """Enable the persistent plan tier at *path* (``None`` disables it).
-
-    The directory is created and probe-written eagerly
-    (:func:`repro.service.cache.ensure_writable_dir`), so a bad path is
-    one clear error at configuration time, not a failure mid-sweep.
-    Returns the resolved directory (or ``None``).
-    """
-    global _plan_tier
-    if path is None:
-        _plan_tier = None
-        return None
-    _plan_tier = DiskTier(ensure_writable_dir(path), ".json")
-    return _plan_tier.directory
-
-
-def plan_cache_dir() -> Path | None:
-    """The configured persistent plan directory, if any."""
-    return _plan_tier.directory if _plan_tier is not None else None
 
 
 def clear_kernel_cache(memory_only: bool = False) -> None:
     """Drop every cached compiled kernel function (tests, benchmarks).
 
-    Also invalidates the persistent plan tier, when one is configured —
-    a "clear" that leaves disk plans behind would resurrect them on the
-    next compile.  ``memory_only=True`` keeps the disk tier (used to
-    prove warm loads skip codegen).
+    ``memory_only`` is accepted and ignored: the cache is memory only.
     """
     with _fn_cache_lock:
         _fn_cache.clear()
         _fn_flights.clear()
-    if not memory_only and _plan_tier is not None:
-        _plan_tier.clear()
 
 
-def _plan_name(key: tuple) -> str:
-    """Content address of *key* in the persistent tier.
-
-    The codegen version stamp is deliberately *not* part of the name: a
-    version bump must find the stale file and reject it on load, not
-    silently shadow it.
-    """
-    fingerprint, semantics_key, backend = key
-    return hashlib.sha256(
-        "\x00".join([fingerprint, repr(semantics_key), backend]).encode()
-    ).hexdigest()
-
-
-def _plan_namespace(backend: str) -> dict[str, object]:
+def _exec_plan_source(source: str, backend: str, kernel_name: str):
     namespace: dict[str, object] = dict(_HELPERS)
     if backend == "vector":
         from .vectorize import _VHELPERS
 
         namespace.update(_VHELPERS)
-    return namespace
-
-
-def _exec_plan_source(source: str, backend: str, kernel_name: str):
-    namespace = _plan_namespace(backend)
     try:
         exec(compile(source, f"<kernel {kernel_name}>", "exec"), namespace)
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard
@@ -548,18 +482,6 @@ def _exec_plan_source(source: str, backend: str, kernel_name: str):
             f"generated code failed to compile:\n{source}"
         ) from exc
     return namespace["_kernel"]
-
-
-def _plan_decode(backend: str, kernel_name: str, data: bytes) -> tuple:
-    """A persisted plan, validated: the JSON, the stamp, and a source
-    that defines a callable kernel (any failure raises)."""
-    payload = json.loads(data)
-    if payload["schema"] != PLAN_SCHEMA:
-        raise ValueError(f"plan schema {payload['schema']!r}")
-    fn = _exec_plan_source(payload["source"], backend, kernel_name)
-    if not callable(fn):
-        raise TypeError("plan source defines no kernel function")
-    return (fn, payload["source"])
 
 
 def _semantics_key(kernel: KernelFunction,
@@ -581,19 +503,8 @@ def _compile_uncached(
     kernel: KernelFunction,
     semantics: dict[int, LoopSemantics] | None,
     backend: str,
-    key: tuple,
-) -> tuple:
-    """Compile on a genuine memo miss: disk tier first, then codegen."""
-    if _plan_tier is not None:
-        loaded = _plan_tier.load(
-            _plan_name(key), partial(_plan_decode, backend, kernel.name))
-        if loaded is not MISS:
-            # warm persistent hit: no codegen ran, so no execute.vectorize
-            # span and no vectorized/fallback counter bumps — those count
-            # codegen events, and this was a plan re-entry
-            get_registry().counter("executor.plan_disk_hit").inc()
-            return loaded
-
+):
+    """Generate and ``exec`` the kernel's source on a genuine memo miss."""
     if backend == "vector":
         with get_tracer().span("execute.vectorize", category="executor",
                                kernel=kernel.name):
@@ -607,21 +518,8 @@ def _compile_uncached(
         ):
             registry.counter(f"executor.fallback.{reason}").inc(count)
     else:
-        gen = _make_codegen(kernel, semantics, backend)
-        source = gen.source()
-    compiled = (_exec_plan_source(source, backend, kernel.name), source)
-    if _plan_tier is not None:
-        payload = {
-            "schema": PLAN_SCHEMA,
-            "fingerprint": key[0],
-            "semantics": [list(item) for item in key[1]],
-            "backend": key[2],
-            "source": source,
-        }
-        _plan_tier.store(_plan_name(key),
-                         json.dumps(payload, sort_keys=True).encode())
-        get_registry().counter("executor.plan_disk_store").inc()
-    return compiled
+        source = _make_codegen(kernel, semantics, backend).source()
+    return _exec_plan_source(source, backend, kernel.name)
 
 
 def compile_kernel_fn(
@@ -658,7 +556,7 @@ def compile_kernel_fn(
         return compiled
 
     try:
-        compiled = _compile_uncached(kernel, semantics, backend, key)
+        compiled = _compile_uncached(kernel, semantics, backend)
     except BaseException as exc:
         _fn_flights.settle(key, flight, error=exc)
         raise
@@ -740,9 +638,9 @@ def execute_kernel(
     if backend == "check":
         ref = {name: value.copy() if isinstance(value, np.ndarray) else value
                for name, value in call.items()}
-        fn_scalar, _ = compile_kernel_fn(kernel, semantics, "scalar")
+        fn_scalar = compile_kernel_fn(kernel, semantics, "scalar")
         fn_scalar(**{_pyname(name): value for name, value in ref.items()})
-        fn_vector, _ = compile_kernel_fn(kernel, semantics, "vector")
+        fn_vector = compile_kernel_fn(kernel, semantics, "vector")
         fn_vector(**{_pyname(name): value for name, value in call.items()})
         diverged = [
             name for name, value in call.items()
@@ -756,7 +654,7 @@ def execute_kernel(
             )
         return
 
-    fn, _ = compile_kernel_fn(kernel, semantics, backend)
+    fn = compile_kernel_fn(kernel, semantics, backend)
     fn(**{_pyname(name): value for name, value in call.items()})
 
 

@@ -5,8 +5,7 @@ process.  Each task runs on a private copy of its array arguments, so
 tasks cannot observe each other, the caller's arrays are never mutated,
 and the returned buffers are a pure function of the task list.  Kernel
 plans compile lazily inside :func:`repro.runtime.executor.execute_kernel`
-through its single-flight memo cache (and the persistent plan tier when
-one is configured).
+through its single-flight memo cache.
 
 :func:`run_exec_sweep` builds the LUD/GE/Hydro hot-kernel task list and
 runs it; :func:`sweep_digest` is the order-sensitive digest the
@@ -124,8 +123,8 @@ def run_exec_sweep(
     """Compile and execute the LUD/GE/Hydro hot-kernel sweep.
 
     Returns a summary with a deterministic ``digest`` over all result
-    buffers — the determinism suite asserts digest equality cold and
-    warm-persistent, with and without injected compile faults.
+    buffers — the determinism suite asserts digest equality across cold
+    runs, with and without injected compile faults.
     """
     if service is None:
         from ..service.scheduler import CompileService

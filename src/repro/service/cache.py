@@ -36,9 +36,9 @@ Both accept ``peer_dirs``: read-only sibling stores (another daemon's
 cache directory, a shared warm seed) consulted on a local disk miss and
 copied through on a hit — the read-through peer mode of docs/SERVER.md.
 
-Both tiers build on :class:`DiskTier`, which the executor's plan tier
-shares; :class:`SingleFlight` is the one in-flight coalescer of the
-scheduler, the daemon's batcher and the executor's compile memo.
+Both tiers build on :class:`DiskTier`; :class:`SingleFlight` is the one
+in-flight coalescer of the scheduler, the daemon's batcher and the
+executor's compile memo.
 """
 
 from __future__ import annotations

@@ -220,18 +220,13 @@ class TestServerCli:
 class TestExecSweep:
     @pytest.fixture(autouse=True)
     def _clean(self):
-        from repro.runtime.executor import (
-            clear_kernel_cache,
-            configure_plan_cache,
-        )
+        from repro.runtime.executor import clear_kernel_cache
         from repro.telemetry import reset_registry
 
         clear_kernel_cache()
-        configure_plan_cache(None)
         reset_registry()
         yield
         clear_kernel_cache()
-        configure_plan_cache(None)
         reset_registry()
 
     def test_digest_stable_across_runs(self, capsys):
@@ -258,6 +253,9 @@ class TestExecSweep:
         ["serve", "--resume", "j.jsonl"],
         ["serve", "--batch-window", "0.1"],
         ["serve", "--max-batch", "4"],
+        ["bench", "lud", "--exec-backend", "vector"],
+        ["heatmap", "--exec-backend", "check"],
+        ["autotune", "--exec-backend", "scalar"],
     ])
     def test_removed_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,23 +270,69 @@ class TestExecSweep:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_cache_dir_persists_plans(self, tmp_path, capsys):
+    def _sweep(self, capsys, *extra: str) -> tuple[dict, int]:
+        """One fresh-process-like ``exec-sweep --size 48`` run: its JSON
+        payload and the number of service compiles it made."""
         import json
 
-        cache = str(tmp_path / "cache")
-        assert main(["exec-sweep", "--size", "48",
-                     "--cache-dir", cache]) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert cold["counters"]["executor.plan_disk_store"] == 6
-
         from repro.runtime.executor import clear_kernel_cache
+        from repro.telemetry import get_registry, reset_registry
 
-        clear_kernel_cache(memory_only=True)
-        assert main(["exec-sweep", "--size", "48",
-                     "--cache-dir", cache]) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["counters"]["executor.plan_disk_hit"] == 6
+        clear_kernel_cache()
+        reset_registry()
+        assert main(["exec-sweep", "--size", "48", *extra]) == 0
+        compiles = get_registry().snapshot()["counters"].get(
+            "service.compiles", 0)
+        return json.loads(capsys.readouterr().out), compiles
+
+    def test_cache_dir_rerun_compiles_nothing(self, tmp_path, capsys):
+        """--cache-dir is the compile service's artifact store only: a
+        rerun is all cache hits, and no kernel plan is written."""
+        cache = tmp_path / "cache"
+        cold, cold_compiles = self._sweep(capsys, "--cache-dir", str(cache))
+        warm, warm_compiles = self._sweep(capsys, "--cache-dir", str(cache))
+        assert cold_compiles == 3
+        assert warm_compiles == 0
         assert warm["digest"] == cold["digest"]
+        assert not (cache / "plans").exists()
+
+    def test_planted_plan_files_never_execute(self, tmp_path, capsys):
+        """Files shaped like persisted executor plans (JSON with a Python
+        ``source``, named by the SHA-256 of the memo key) are never read
+        back, so their code never runs."""
+        import hashlib
+        import json
+
+        from repro.runtime.executor import _semantics_key
+        from repro.runtime.parallel import _sweep_tasks
+        from repro.service import CompileService
+        from repro.service.fingerprint import fingerprint_kernel
+
+        clean, _ = self._sweep(capsys)
+        marker = tmp_path / "plan-ran"
+        plans = tmp_path / "cache" / "plans"
+        plans.mkdir(parents=True)
+        tasks = _sweep_tasks(CompileService(),
+                             {"ge": 48, "lud": 48, "hydro": 48}, 1)
+        for task in tasks:
+            key = (fingerprint_kernel(task.kernel),
+                   _semantics_key(task.kernel, task.semantics), "vector")
+            name = hashlib.sha256(
+                "\x00".join([key[0], repr(key[1]), key[2]]).encode()
+            ).hexdigest()
+            source = (f"open({str(marker)!r}, 'a').write('x')\n"
+                      "def _kernel(*args, **kwargs):\n    pass\n")
+            (plans / f"{name}.json").write_text(json.dumps({
+                "schema": "exec-plan-v1", "fingerprint": key[0],
+                "semantics": [list(item) for item in key[1]],
+                "backend": key[2], "source": source,
+            }, sort_keys=True))
+        assert len(list(plans.glob("*.json"))) == 6
+
+        planted, _ = self._sweep(capsys, "--cache-dir",
+                                 str(tmp_path / "cache"))
+        assert not marker.exists(), "a planted plan file was executed"
+        assert planted["digest"] == clean["digest"]
 
     def test_bad_cache_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -119,18 +119,13 @@ def normalized(argv: list[str]) -> list[str]:
 
 def reset_process_state() -> None:
     """Undo everything a CLI command can leave behind process-wide."""
-    from repro.runtime.executor import (
-        clear_kernel_cache,
-        configure_plan_cache,
-        set_default_backend,
-    )
+    from repro.runtime.executor import clear_kernel_cache, set_default_backend
     from repro.service import reset_default_service
     from repro.telemetry import reset_registry, reset_tracer
 
     reset_default_service()
     set_default_backend("scalar")
-    configure_plan_cache(None)
-    clear_kernel_cache(memory_only=True)
+    clear_kernel_cache()
     reset_tracer()
     reset_registry()
 

@@ -1,5 +1,5 @@
-"""Executor memo-cache contracts: single-flight compile race, LRU
-eviction, and the persistent plan tier (docs/EXECUTOR.md).
+"""Executor memo-cache contracts: single-flight compile race and LRU
+eviction (docs/EXECUTOR.md).
 
 The race and eviction tests are behavioral: they count actual codegen
 invocations through a monkeypatched ``_make_codegen`` rather than
@@ -7,25 +7,16 @@ peeking at ``_fn_cache`` keys, so a cache re-implementation keeps them
 green as long as the contract holds.
 """
 
-import json
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.frontend import parse_kernel
 from repro.runtime import executor
-from repro.runtime.executor import (
-    PLAN_SCHEMA,
-    clear_kernel_cache,
-    compile_kernel_fn,
-    configure_plan_cache,
-    execute_kernel,
-    plan_cache_dir,
-)
+from repro.runtime.executor import clear_kernel_cache, compile_kernel_fn
 from repro.telemetry import get_registry, reset_registry
-from repro.telemetry.spans import configure_tracer, reset_tracer
+from repro.telemetry.spans import reset_tracer
 
 
 def _kernel(scale: float = 2.0):
@@ -39,12 +30,10 @@ def _kernel(scale: float = 2.0):
 @pytest.fixture(autouse=True)
 def _clean_state():
     clear_kernel_cache()
-    configure_plan_cache(None)
     reset_registry()
     reset_tracer()
     yield
     clear_kernel_cache()
-    configure_plan_cache(None)
     reset_registry()
     reset_tracer()
 
@@ -118,7 +107,7 @@ class TestCompileRace:
         with pytest.raises(RuntimeError, match="codegen exploded"):
             compile_kernel_fn(kernel, None, "vector")
         # the failed latch must not wedge the key: the next call compiles
-        fn, _ = compile_kernel_fn(kernel, None, "vector")
+        fn = compile_kernel_fn(kernel, None, "vector")
         assert callable(fn)
         assert len(attempts) == 2
 
@@ -148,120 +137,3 @@ class TestLRUEviction:
         for i in range(6):
             compile_kernel_fn(_kernel(2.0 + i), None, "scalar")
         assert len(executor._fn_cache) <= 3
-
-
-class TestPersistentPlans:
-    def test_store_then_warm_load_skips_codegen(self, tmp_path, monkeypatch):
-        configure_plan_cache(tmp_path / "plans")
-        kernel = _kernel()
-        compile_kernel_fn(kernel, None, "vector")
-        counters = get_registry().snapshot()["counters"]
-        assert counters["executor.plan_disk_store"] == 1
-        assert len(list(plan_cache_dir().glob("*.json"))) == 1
-
-        # warm process: memory gone, disk tier intact
-        clear_kernel_cache(memory_only=True)
-        reset_registry()
-        tracer = configure_tracer(enabled=True)
-        calls = _counting_codegen(monkeypatch)
-        fn, source = compile_kernel_fn(kernel, None, "vector")
-        assert calls == [], "warm load ran codegen"
-        assert tracer.spans_named("execute.vectorize") == []
-        counters = get_registry().snapshot()["counters"]
-        assert counters["executor.plan_disk_hit"] == 1
-        assert counters.get("executor.vectorized", 0) == 0
-
-        # and the re-entered plan still executes bit-identically
-        b = np.arange(8, dtype=np.float64)
-        a_vec, a_ref = np.zeros(8), np.zeros(8)
-        execute_kernel(kernel, {"a": a_vec, "b": b, "n": 8},
-                       backend="vector")
-        execute_kernel(kernel, {"a": a_ref, "b": b, "n": 8},
-                       backend="scalar")
-        assert a_vec.tobytes() == a_ref.tobytes()
-
-    def test_version_stamp_mismatch_is_unloadable(self, tmp_path,
-                                                  monkeypatch):
-        """A plan persisted by a different codegen version must be
-        ignored and recompiled, never executed."""
-        configure_plan_cache(tmp_path / "plans")
-        kernel = _kernel()
-        compile_kernel_fn(kernel, None, "vector")
-        path, = plan_cache_dir().glob("*.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == PLAN_SCHEMA
-        payload["schema"] = "exec-plan-v0"
-        payload["source"] = "raise AssertionError('stale plan executed')"
-        path.write_text(json.dumps(payload))
-
-        clear_kernel_cache(memory_only=True)
-        reset_registry()
-        calls = _counting_codegen(monkeypatch)
-        fn, _ = compile_kernel_fn(kernel, None, "vector")
-        assert len(calls) == 1, "stale plan was loaded instead of recompiled"
-        counters = get_registry().snapshot()["counters"]
-        assert counters.get("executor.plan_disk_hit", 0) == 0
-        assert counters["executor.vectorized"] == 1
-        # the stale file was dropped and replaced by a fresh plan
-        fresh = json.loads(path.read_text())
-        assert fresh["schema"] == PLAN_SCHEMA
-
-    @pytest.mark.parametrize("source", [None, "x = 1", "def _kernel(:"],
-                             ids=["not-json", "no-kernel", "syntax-error"])
-    def test_corrupt_plan_is_a_miss(self, tmp_path, monkeypatch, source):
-        """Any plan that fails to load is dropped and recompiled; the key
-        never stays wedged on the bad file."""
-        configure_plan_cache(tmp_path / "plans")
-        kernel = _kernel()
-        compile_kernel_fn(kernel, None, "vector")
-        path, = plan_cache_dir().glob("*.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == PLAN_SCHEMA
-        path.write_text("{not json" if source is None
-                        else json.dumps({**payload, "source": source}))
-        clear_kernel_cache(memory_only=True)
-        calls = _counting_codegen(monkeypatch)
-        compile_kernel_fn(kernel, None, "vector")
-        assert len(calls) == 1
-        # the bad file was replaced by a fresh plan that loads warm
-        assert json.loads(path.read_text()) == payload
-        clear_kernel_cache(memory_only=True)
-        reset_registry()
-        fn, _ = compile_kernel_fn(kernel, None, "vector")
-        assert len(calls) == 1
-        counters = get_registry().snapshot()["counters"]
-        assert counters["executor.plan_disk_hit"] == 1
-
-    def test_clear_kernel_cache_wipes_disk_tier(self, tmp_path):
-        configure_plan_cache(tmp_path / "plans")
-        compile_kernel_fn(_kernel(), None, "vector")
-        assert list(plan_cache_dir().glob("*.json"))
-        clear_kernel_cache()
-        assert list(plan_cache_dir().glob("*.json")) == []
-
-    def test_memory_only_clear_keeps_disk(self, tmp_path):
-        configure_plan_cache(tmp_path / "plans")
-        compile_kernel_fn(_kernel(), None, "vector")
-        clear_kernel_cache(memory_only=True)
-        assert list(plan_cache_dir().glob("*.json"))
-
-    def test_plans_keyed_per_backend(self, tmp_path):
-        configure_plan_cache(tmp_path / "plans")
-        kernel = _kernel()
-        compile_kernel_fn(kernel, None, "scalar")
-        compile_kernel_fn(kernel, None, "vector")
-        assert len(list(plan_cache_dir().glob("*.json"))) == 2
-
-    def test_unconfigured_tier_is_inert(self):
-        assert plan_cache_dir() is None
-        compile_kernel_fn(_kernel(), None, "vector")
-        counters = get_registry().snapshot()["counters"]
-        assert "executor.plan_disk_store" not in counters
-
-    def test_bad_plan_dir_is_one_clear_error(self, tmp_path):
-        from repro.service import CacheDirError
-
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        with pytest.raises(CacheDirError):
-            configure_plan_cache(blocker / "plans")

@@ -1,18 +1,14 @@
 """Batch kernel execution and the exec sweep (docs/EXECUTOR.md).
 
-The contract: a sweep's digest is the same on every run — cold and
-warm-persistent, and under injected compile faults with retries — and a
-warm-persistent run re-enters its plans without running the vectorizer.
+The contract: a sweep's digest is the same on every run — cold, and
+under injected compile faults with retries.
 """
 
 import numpy as np
 import pytest
 
 from repro.frontend import parse_kernel
-from repro.runtime.executor import (
-    clear_kernel_cache,
-    configure_plan_cache,
-)
+from repro.runtime.executor import clear_kernel_cache
 from repro.runtime.parallel import (
     ExecTask,
     run_exec_sweep,
@@ -28,12 +24,10 @@ SIZES = {"ge": 48, "lud": 64, "hydro": 48}
 @pytest.fixture(autouse=True)
 def _clean_state():
     clear_kernel_cache()
-    configure_plan_cache(None)
     reset_registry()
     reset_tracer()
     yield
     clear_kernel_cache()
-    configure_plan_cache(None)
     reset_registry()
     reset_tracer()
 
@@ -81,20 +75,6 @@ class TestSweepDeterminism:
         digest2, counters2 = _cold_run()
         assert digest1 == digest2
         assert counters1 == counters2, "counter drift between cold runs"
-
-    def test_warm_persistent_codegen_free(self, tmp_path):
-        configure_plan_cache(tmp_path / "plans")
-        cold_digest, _ = _cold_run()  # populates the disk tier
-
-        clear_kernel_cache(memory_only=True)
-        reset_registry()
-        tracer = configure_tracer(enabled=True)
-        result = run_exec_sweep(service=CompileService(), sizes=SIZES)
-        counters = get_registry().snapshot()["counters"]
-        assert counters["executor.plan_disk_hit"] > 0
-        assert result["digest"] == cold_digest
-        assert not tracer.spans_named("execute.vectorize"), (
-            "warm-persistent run ran the vectorizer")
 
     def test_deterministic_under_faults_and_retries(self):
         from repro.faults import parse_fault_spec
