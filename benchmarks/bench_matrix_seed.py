@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core import run_matrix
 from repro.faults.plan import parse_fault_spec
-from repro.service import CompileService, RetryPolicy
+from repro.service import CompileService
 
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_matrix.json"
 POOL_JOBS = 4
@@ -54,7 +54,7 @@ def run_bench() -> dict:
         CompileService(
             jobs=POOL_JOBS,
             fault_plan=parse_fault_spec(FAULT_SPEC),
-            retry=RetryPolicy(max_retries=3),
+            retries=3,
         )
     )
 

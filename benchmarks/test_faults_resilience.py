@@ -15,7 +15,7 @@ from repro.core.search import (
 )
 from repro.faults import parse_fault_spec
 from repro.kernels import get_benchmark
-from repro.service import CompileService, JobError, RetryPolicy, SimClock
+from repro.service import CompileService, JobError, SimClock
 
 
 def _requests():
@@ -27,7 +27,7 @@ def _requests():
 def _faulted_sweep():
     service = CompileService(
         fault_plan=parse_fault_spec("transient:p=0.3,seed=11"),
-        retry=RetryPolicy(max_retries=3),
+        retries=3,
         clock=SimClock(),
     )
     results = service.sweep(_requests())

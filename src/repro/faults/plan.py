@@ -5,7 +5,7 @@ The paper's portability story is dominated by *compiler fragility*: CAPS
 target-specific refusals (PAPER.md sections III-IV), and modern OpenACC
 compiler-validation studies find the same flakiness.  The simulated
 compiler models, by contrast, never crash — so the service layer's
-resilience (retry, breakers, per-job timeouts) would be untestable
+resilience (retry and flaky-cache absorption) would be untestable
 without *injected* failures.
 
 ``FaultPlan`` is that injector, built on one rule: **no global random
@@ -31,7 +31,8 @@ Fault kinds (see :func:`parse_fault_spec` for the CLI grammar):
     build today will not build on retry either).
 ``slow``
     a compile attempt is inflated by ``s`` seconds with probability *p*
-    (modeled latency — stragglers for the per-job timeout).
+    (latency injection: slept on the service's clock and counted in
+    its compile time).
 ``cache-read`` / ``cache-write`` (or ``cache`` for both)
     an :class:`~repro.service.cache.ArtifactCache` access raises a
     flaky I/O error, keyed on the per-fingerprint access counter.
@@ -90,7 +91,7 @@ class TransientCompileFault(InjectedFault):
 
 class PersistentCompileFault(InjectedFault):
     """A per-fingerprint failure that every attempt replays — the CAPS
-    bug-list model.  Not retryable; the breaker's food."""
+    bug-list model.  Not retryable: its sweep slot is a ``JobError``."""
 
     transient = False
 
@@ -107,7 +108,7 @@ def is_injected_fault(exc: BaseException) -> bool:
 
 
 def is_transient(exc: BaseException) -> bool:
-    """True for errors the retry policy may heal (injected transients
+    """True for errors a retry may heal (injected transients
     and anything else flagging itself with a truthy ``transient``)."""
     return bool(getattr(exc, "transient", False))
 

@@ -81,8 +81,8 @@ def sweep_digest(results: list[dict[str, np.ndarray]]) -> str:
 
 def _sweep_tasks(service, sizes: dict[str, int], repeats: int) -> list[ExecTask]:
     """The execution-heavy LUD/GE/Hydro task list (paper Fig. 4 hot
-    kernels), compiled through *service* so resilience policies (faults,
-    retries, breakers) apply to the compile side of the sweep."""
+    kernels), compiled through *service* so its resilience (faults and
+    retries) applies to the compile side of the sweep."""
     from ..ir.visitors import clone_kernel
     from ..kernels import get_benchmark
 

@@ -16,7 +16,7 @@ compile runs:
   :data:`BATCH_WINDOW_S` (or :data:`MAX_BATCH` points, whichever first)
   and submitted as one :meth:`CompileService.sweep`, so a burst of
   single compiles from independent clients rides one scheduler batch
-  (one breaker advance, pooled workers kept busy).
+  (pooled workers kept busy).
 
 Determinism: batching changes *when* a compile runs and *which* sweep it
 shares, never its inputs — fingerprints are content addresses and the

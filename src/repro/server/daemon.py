@@ -4,7 +4,7 @@
 One :class:`ReproServer` owns the whole server stack:
 
 * a shared :class:`~repro.service.scheduler.CompileService` (worker
-  pool, retries/breaker when configured, fault injection via
+  pool, retries when configured, fault injection via
   ``--faults`` — the server path is inside the same resilience envelope
   as the library path);
 * a :class:`~repro.service.cache.ShardedArtifactCache` disk tier
@@ -84,7 +84,7 @@ class ServerConfig:
     max_queue_depth: int = 256
     quota_rate: float | None = None
     quota_burst: float | None = None
-    #: extra CompileService kwargs (retry/breaker/fault_plan/registry/...)
+    #: extra CompileService kwargs (retries/fault_plan/registry/...)
     service_kwargs: dict[str, Any] = field(default_factory=dict)
 
 

@@ -12,9 +12,8 @@ points.  This package turns those repeated compiles into a service:
   request/hit/latency counters live in a
   :class:`repro.telemetry.MetricsRegistry` and surface through
   :meth:`repro.runtime.profiler.Profiler.report`;
-* :mod:`.resilience` — retry policies with deterministic backoff,
-  simulated clocks and per-target circuit breakers (pairs with
-  :mod:`repro.faults`).
+* :mod:`.resilience` — deterministic retry backoff and simulated
+  clocks (pairs with :mod:`repro.faults`).
 
 See ``docs/SERVICE.md`` for the architecture and ``docs/FAULTS.md``
 for the fault-injection + resilience story.
@@ -35,14 +34,7 @@ from .fingerprint import (
     fingerprint_parts,
     fingerprint_request,
 )
-from .resilience import (
-    DEFAULT_FALLBACKS,
-    CircuitBreaker,
-    Clock,
-    RetryPolicy,
-    SimClock,
-    SystemClock,
-)
+from .resilience import Clock, SimClock, SystemClock, backoff_s
 from .scheduler import (
     CompileService,
     JobError,
@@ -58,16 +50,14 @@ __all__ = [
     "ShardedArtifactCache",
     "ensure_writable_dir",
     "shard_prefix",
-    "CircuitBreaker",
     "Clock",
     "CompileRequest",
     "CompileService",
-    "DEFAULT_FALLBACKS",
     "JobError",
     "MISS",
-    "RetryPolicy",
     "SimClock",
     "SystemClock",
+    "backoff_s",
     "canonical_flags",
     "fingerprint_parts",
     "fingerprint_request",

@@ -144,7 +144,7 @@ class SingleFlight:
 
 
 class DiskTier:
-    """One directory of content-addressed files, ``<name><suffix>``.
+    """One directory of content-addressed files, ``<name>.pkl``.
 
     Writes are best-effort and atomic: a temp file renamed into place,
     so a reader never sees a partial entry and a full disk never fails
@@ -154,14 +154,15 @@ class DiskTier:
     never deletes its entries.
     """
 
-    def __init__(self, directory: str | os.PathLike[str], suffix: str,
+    SUFFIX = ".pkl"
+
+    def __init__(self, directory: str | os.PathLike[str],
                  read_only: bool = False) -> None:
         self.directory = Path(directory)
-        self.suffix = suffix
         self.read_only = read_only
 
     def _path(self, name: str) -> Path:
-        return self.directory / f"{name}{self.suffix}"
+        return self.directory / f"{name}{self.SUFFIX}"
 
     def __contains__(self, name: str) -> bool:
         return self._path(name).exists()
@@ -193,7 +194,7 @@ class DiskTier:
         return True
 
     def clear(self) -> None:
-        for path in self.directory.glob(f"*{self.suffix}"):
+        for path in self.directory.glob(f"*{self.SUFFIX}"):
             with contextlib.suppress(OSError):
                 path.unlink(missing_ok=True)
 
@@ -292,9 +293,9 @@ class ArtifactCache:
         self._disk: DiskTier | None = None
         if self.cache_dir is not None:
             self.cache_dir = ensure_writable_dir(self.cache_dir)
-            self._disk = DiskTier(self.cache_dir, ".pkl")
+            self._disk = DiskTier(self.cache_dir)
         self.peer_dirs = tuple(Path(p) for p in self.peer_dirs)
-        self._peers = [DiskTier(p, ".pkl", read_only=True)
+        self._peers = [DiskTier(p, read_only=True)
                        for p in self.peer_dirs]
 
     # -- lookup ---------------------------------------------------------------
@@ -359,9 +360,9 @@ class ArtifactCache:
         Idempotent per fingerprint: a second ``put`` for a stored key is
         a counted no-op (``stats.redundant_stores``).  The compilers are
         content-addressed pure functions, so a repeat store can only be
-        a *discarded duplicate* — a timed-out worker finishing after its
-        result was abandoned — and must not double-count stores or
-        re-write the disk tier.
+        a duplicate — two services over one store compiling the same
+        request — and must not double-count stores or re-write the disk
+        tier.
         """
         try:
             blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)

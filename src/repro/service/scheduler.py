@@ -19,19 +19,13 @@ through :attr:`CompileService.metrics`), and (when ``jobs > 1``) a
 
 Resilience (docs/FAULTS.md): the service survives the compiler
 fragility the paper documents — injected via :mod:`repro.faults` —
-with two mechanisms, both off by default and both deterministic:
-
-* **retry** (:class:`~repro.service.resilience.RetryPolicy`) —
-  transient failures are re-attempted with exponential backoff and
-  counter-hashed jitter, slept on an injectable
-  :class:`~repro.service.resilience.Clock` (tests use ``SimClock``;
-  ``time.sleep`` never runs under test);
-* **circuit breaker**
-  (:class:`~repro.service.resilience.CircuitBreaker`) — per
-  (compiler, target) consecutive-failure breaker advanced in *gather
-  order*; once open, failed sweep points degrade to the route's
-  fallback (CAPS/OpenCL -> CAPS/CUDA), marked ``degraded=True`` on the
-  artifact — never silent.
+with retry, off by default and deterministic: transient failures are
+re-attempted up to ``retries`` times with exponential backoff and
+counter-hashed jitter (:func:`~repro.service.resilience.backoff_s`),
+slept on an injectable :class:`~repro.service.resilience.Clock` (tests
+use ``SimClock``; ``time.sleep`` never runs under test).  A flaky cache
+read or write degrades to a miss or a skipped store.  A point that
+still fails is a ``JobError`` in its slot, never a substitute compile.
 
 A killed sweep resumes by running it again on the same cache
 directory: finished points (refusals included) come back from the
@@ -40,18 +34,10 @@ content-addressed store, and the rest compile.
 Determinism contract: the compiler models are pure functions of the
 fingerprinted inputs, requests are materialized by the *caller* in a
 fixed order (IR loop ids are allocated before submission), results are
-returned in request order, and every fault/retry/breaker decision is a
+returned in request order, and every fault/retry decision is a
 counter-based hash of (seed, fingerprint, attempt) — so a ``jobs=4``
 sweep is byte-identical to a serial one, a warm-cache sweep to a cold
 one, and a faulted sweep to a re-run under the same plan.
-
-Per-job timeouts are enforced at the gather point for pooled execution
-(``jobs > 1``); a timed-out point becomes a ``JobError(kind="timeout")``
-without killing the sweep.  The abandoned worker thread is left to
-finish; its discarded result's cache write is idempotent
-(:meth:`ArtifactCache.put` skips already-stored fingerprints) so a
-late-landing duplicate can never double-count stores or re-write the
-disk tier.
 """
 
 from __future__ import annotations
@@ -60,7 +46,6 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Iterable
 
 from ..compilers.flags import FlagSet
@@ -72,12 +57,7 @@ from ..telemetry.registry import CounterView, MetricsRegistry
 from ..telemetry.spans import get_tracer
 from .cache import MISS, ArtifactCache, CachedRefusal, SingleFlight
 from .fingerprint import CompileRequest
-from .resilience import (
-    CircuitBreaker,
-    Clock,
-    RetryPolicy,
-    SystemClock,
-)
+from .resilience import Clock, SystemClock, backoff_s
 
 
 class JobError(Exception):
@@ -128,10 +108,8 @@ class ServiceCounters(CounterView):
         "dedup_hits": "service.dedup_hits",
         "compiles": "service.compiles",
         "errors": "service.errors",
-        "timeouts": "service.timeouts",
         "faults_injected": "faults.injected",
         "retries": "faults.retries",
-        "degraded": "faults.degraded",
         "cache_io_errors": "faults.cache_io_errors",
     }
 
@@ -152,8 +130,7 @@ class ServiceCounters(CounterView):
                 f"requests {snap['requests']}: "
                 f"{snap['cache_hits']} cache hits, "
                 f"{snap['dedup_hits']} dedup hits, "
-                f"{snap['compiles']} compiles "
-                f"({snap['errors']} errors, {snap['timeouts']} timeouts)"
+                f"{snap['compiles']} compiles ({snap['errors']} errors)"
             ),
             (
                 f"compile latency p50 {latency.quantile(0.5) * 1e3:.3f} ms, "
@@ -161,39 +138,34 @@ class ServiceCounters(CounterView):
                 f"~{snap['time_saved_s'] * 1e3:.3f} ms saved by caching"
             ),
         ]
-        if any(snap[k] for k in ("faults_injected", "retries", "degraded")):
+        if snap["faults_injected"] or snap["retries"]:
             lines.append(
                 f"resilience: {snap['faults_injected']} faults injected "
                 f"({snap['cache_io_errors']} cache I/O), "
-                f"{snap['retries']} retries, "
-                f"{snap['degraded']} degraded fallbacks"
+                f"{snap['retries']} retries"
             )
         return lines
-
-
-#: the breaker transition counters, by :meth:`CircuitBreaker.on_result`'s
-#: return value
-_BREAKER_COUNTERS = {"tripped": "faults.breaker_trips",
-                     "closed": "faults.breaker_closes"}
 
 
 class CompileService:
     """Content-addressed, deduplicating, pool-backed, fault-resilient
     compilation.  It counts into *registry* (by default a private one,
-    which a cache it builds itself shares)."""
+    which a cache it builds itself shares).  *retries* counts
+    *re*-attempts of a transient failure: a job runs at most
+    ``retries + 1`` times."""
 
     def __init__(
         self,
         cache: ArtifactCache | None = None,
         jobs: int = 1,
-        timeout_s: float | None = None,
         registry: MetricsRegistry | None = None,
         compile_fn: Callable[[CompileRequest], Any] | None = None,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
+        retries: int = 0,
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.registry = registry if registry is not None else MetricsRegistry()
         self.cache: Any = (cache if cache is not None
                            else ArtifactCache(registry=self.registry))
@@ -205,13 +177,8 @@ class CompileService:
             "service.compile_seconds")
         #: each compiled fingerprint's compile time: what a hit saves
         self._seconds_by_fp: dict[str, float] = {}
-        if breaker is not None:
-            for name in _BREAKER_COUNTERS.values():
-                self.registry.counter(name)
         self.jobs = max(1, int(jobs))
-        self.timeout_s = timeout_s
-        self.retry = retry
-        self.breaker = breaker
+        self.retries = retries
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
         self._compile_fn = compile_fn or _default_compile_fn
@@ -271,12 +238,8 @@ class CompileService:
                     injected = is_injected_fault(exc)
                     if injected:
                         self._record_fault()
-                    if (
-                        self.retry is not None
-                        and is_transient(exc)
-                        and attempt < self.retry.max_retries
-                    ):
-                        backoff = self.retry.backoff_s(fingerprint, attempt)
+                    if is_transient(exc) and attempt < self.retries:
+                        backoff = backoff_s(fingerprint, attempt)
                         self._count["retries"].inc()
                         if tracer.enabled:
                             tracer.record_span(
@@ -426,7 +389,7 @@ class CompileService:
             results: list[Any] = []
             for request, future in zip(materialized, pending):
                 try:
-                    result = self._gather(request, future)
+                    result = future.result()
                 except JobError as err:
                     result = err
                 except Exception as exc:  # compiler error captured in-slot
@@ -436,84 +399,8 @@ class CompileService:
                         "fault" if is_injected_fault(exc) else "compile-error",
                         str(exc),
                     )
-                if self.breaker is not None:
-                    result = self._admit(request, result)
                 results.append(result)
             return results
-
-    # -- circuit breaker -------------------------------------------------------
-
-    def _admit(self, request: CompileRequest, result: Any) -> Any:
-        """Advance the breaker with one gathered result; degrade a
-        failure to the route's fallback while the breaker is open.
-
-        Only *infrastructure* failures count: injected faults
-        (``kind="fault"``) and timeouts.  A deterministic compiler
-        refusal (``kind="compile-error"``) is data — PGI rejecting
-        OpenCL will reject it forever, and papering over it with a
-        fallback would corrupt the sweep's error accounting (the
-        difftest relies on seeing expected refusals as refusals).
-        """
-        breaker = self.breaker
-        assert breaker is not None
-        key = breaker.key_for(request.compiler, request.target)
-        failed = (isinstance(result, JobError)
-                  and result.kind in ("fault", "timeout"))
-        transition = breaker.on_result(key, failed)
-        # every route the breaker has seen has a state gauge: 1 open
-        state = self.registry.gauge(f"faults.breaker_state.{'-'.join(key)}")
-        tracer = get_tracer()
-        if transition is not None:
-            self.registry.counter(_BREAKER_COUNTERS[transition]).inc()
-            state.set(1.0 if transition == "tripped" else 0.0)
-            if tracer.enabled:
-                tracer.record_span(
-                    "service.breaker", 0.0, category="service",
-                    key="-".join(key), transition=transition,
-                )
-        if not (failed and breaker.is_open(key)):
-            return result
-        fallback = breaker.fallback_for(*key)
-        if fallback is None:
-            return result
-        fb_compiler, fb_target = fallback
-        with tracer.span(
-            "service.breaker", category="service",
-            label=request.label or request.module.name,
-            key="-".join(key), fallback=f"{fb_compiler}-{fb_target}",
-        ) as span:
-            fb_request = CompileRequest(
-                request.module, fb_compiler, fb_target,
-                request.flags, request.device, request.label,
-            )
-            try:
-                artifact = self.compile_request(fb_request)
-            except Exception as exc:
-                span.set(status="fallback-failed")
-                # graceful degradation failed too: surface the original
-                # error, annotated with the fallback's
-                result.message += (
-                    f" (breaker fallback {fb_compiler}->{fb_target} "
-                    f"also failed: {exc})"
-                )
-                return result
-            span.set(status="degraded")
-        self._mark_degraded(artifact, key, (fb_compiler, fb_target))
-        self._count["degraded"].inc()
-        return artifact
-
-    def _mark_degraded(self, artifact: Any, original: tuple[str, str],
-                       fallback: tuple[str, str]) -> None:
-        """Surface a breaker fallback on the artifact itself (the cache
-        holds bytes, so the cached pristine artifact is untouched)."""
-        try:
-            artifact.degraded = True
-            artifact.degraded_from = "-".join(original)
-            artifact.degraded_to = "-".join(fallback)
-        except AttributeError:
-            # artifacts without a __dict__ (e.g. test stubs returning
-            # builtins) still surface degradation via the metrics
-            pass
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -531,7 +418,7 @@ class CompileService:
     def report_lines(self) -> list[str]:
         """Service metrics + cache-tier counters (profiler section)."""
         stats = self.cache.stats
-        lines = self.metrics.report_lines() + [
+        return self.metrics.report_lines() + [
             (
                 f"cache: {stats.memory_hits} memory hits, "
                 f"{stats.disk_hits} disk hits, {stats.misses} misses, "
@@ -539,14 +426,6 @@ class CompileService:
                 f"({len(self.cache)} resident entries)"
             ),
         ]
-        if self.breaker is not None:
-            snap = self._breaker_snapshot()
-            state = ", ".join(snap["open"]) if snap["open"] else "all closed"
-            lines.append(
-                f"breaker: {state} "
-                f"({snap['trips']} trips, {snap['closes']} closes)"
-            )
-        return lines
 
     def inflight_count(self) -> int:
         """Requests currently being compiled (the server's status view)."""
@@ -557,23 +436,12 @@ class CompileService:
         the payload of the ``repro serve`` daemon's ``stats`` endpoint
         (and of anything else that wants machine-readable state without
         scraping :meth:`report_lines`)."""
-        snap: dict[str, Any] = {
+        return {
             "service": self.metrics.snapshot(),
             "cache": self.cache.stats.snapshot(),
             "jobs": self.jobs,
             "inflight": self.inflight_count(),
         }
-        if self.breaker is not None:
-            snap["breaker"] = self._breaker_snapshot()
-        return snap
-
-    def _breaker_snapshot(self) -> dict[str, Any]:
-        """The breaker's open keys and its transition counts."""
-        assert self.breaker is not None
-        snap = self.breaker.snapshot()
-        snap["trips"] = self.registry.counter("faults.breaker_trips").value
-        snap["closes"] = self.registry.counter("faults.breaker_closes").value
-        return snap
 
     # -- internals -------------------------------------------------------------
 
@@ -604,19 +472,6 @@ class CompileService:
             else:
                 span.set(status="done")
                 self._flights.settle(request.fingerprint, future, result)
-
-    def _gather(self, request: CompileRequest, future: Future) -> Any:
-        try:
-            return future.result(timeout=self.timeout_s)
-        except FutureTimeoutError:
-            self._count["timeouts"].inc()
-            raise JobError(
-                request.label or request.module.name,
-                request.fingerprint,
-                "timeout",
-                f"compile exceeded {self.timeout_s:g}s",
-                self.timeout_s or 0.0,
-            ) from None
 
 
 # -- process-wide default service ---------------------------------------------

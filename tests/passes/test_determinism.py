@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.faults.plan import parse_fault_spec
 from repro.server import artifact_signature, fig4_requests
-from repro.service import CompileService, JobError, RetryPolicy, SimClock
+from repro.service import CompileService, JobError, SimClock
 
 
 def _signatures(service: CompileService) -> list[str]:
@@ -43,7 +43,7 @@ def test_faulted_sweep_with_retries_is_deterministic():
         CompileService(
             jobs=4,
             fault_plan=parse_fault_spec("transient:p=0.3,seed=11"),
-            retry=RetryPolicy(max_retries=3),
+            retries=3,
             clock=SimClock(),
         )
     )

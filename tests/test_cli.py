@@ -127,9 +127,8 @@ class TestResilienceFlags:
                                   .rstrip("\n"))
 
     def test_unhealable_sweep_exits_1_cleanly(self, capsys):
-        """A fault plan no retry budget can beat (p=1, and caps-cuda has
-        no breaker fallback) must exit 1 with a one-line error, not a
-        traceback."""
+        """A fault plan no retry budget can beat (p=1) must exit 1 with
+        a one-line error, not a traceback."""
         assert main(["heatmap", "--size", "512",
                      "--faults", "transient:p=1.0",
                      "--retries", "2"]) == 1
@@ -141,6 +140,14 @@ class TestResilienceFlags:
         assert main(["heatmap", "--size", "512",
                      "--faults", "warp-drive:p=0.5"]) == 2
         assert "bad --faults spec" in capsys.readouterr().err
+
+    def test_negative_retries_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", "--size", "256", "--retries", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --retries: expected a non-negative integer" in err
+        assert "Traceback" not in err
 
     def test_difftest_rerun_on_cache_dir_compiles_nothing(self, tmp_path,
                                                            capsys):

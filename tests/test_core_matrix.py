@@ -12,7 +12,7 @@ from repro.core.matrix import MATRIX_PAIRS, device_for_target, matrix_requests
 from repro.devices import K40, NVLINK_LINK, PHI_5110P
 from repro.faults.plan import parse_fault_spec
 from repro.kernels import MATRIX_FAMILIES
-from repro.service import ArtifactCache, CompileService, RetryPolicy
+from repro.service import ArtifactCache, CompileService
 from repro.telemetry import Tracer, configure_tracer, reset_tracer
 
 SMALL = dict(families=("stencil", "pic"), n=8, device_counts=(1, 2))
@@ -130,8 +130,7 @@ class TestDeterminism:
         baseline = small_matrix()
         plan = parse_fault_spec("transient:p=0.3,seed=11")
         faulted = small_matrix(
-            service=CompileService(jobs=4, fault_plan=plan,
-                                   retry=RetryPolicy(max_retries=3)),
+            service=CompileService(jobs=4, fault_plan=plan, retries=3),
         )
         assert faulted.digest() == baseline.digest()
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.difftest import run_difftest
 from repro.faults import parse_fault_spec
-from repro.service import CompileService, RetryPolicy, SimClock
+from repro.service import CompileService, SimClock
 
 # seed 11 is verified (by running the pure hash over the corpus's
 # fingerprints) to heal every point of the 25-seed corpus within 3
@@ -25,7 +25,7 @@ def classification(report):
             case.seed,
             case.error,
             tuple(
-                (pair.compiler, pair.target, pair.status, pair.degraded,
+                (pair.compiler, pair.target, pair.status,
                  tuple((k.kernel, k.status, k.mismatched) for k in pair.kernels))
                 for pair in case.pairs
             ),
@@ -37,7 +37,7 @@ def classification(report):
 def faulted_service(retries=3):
     return CompileService(
         fault_plan=parse_fault_spec(FAULT_SPEC),
-        retry=RetryPolicy(max_retries=retries),
+        retries=retries,
         clock=SimClock(),
     )
 

@@ -78,14 +78,13 @@ class TestSweepDeterminism:
 
     def test_deterministic_under_faults_and_retries(self):
         from repro.faults import parse_fault_spec
-        from repro.service import RetryPolicy
 
         baseline, _ = _cold_run()
         clear_kernel_cache()
         reset_registry()
         service = CompileService(
             fault_plan=parse_fault_spec("transient:p=0.3,seed=11"),
-            retry=RetryPolicy(max_retries=3),
+            retries=3,
         )
         result = run_exec_sweep(service=service, sizes=SIZES)
         assert result["digest"] == baseline

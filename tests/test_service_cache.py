@@ -77,6 +77,16 @@ class TestMemoryTier:
         assert "fp-lambda" not in cache
         assert cache.stats.stores == 0
 
+    def test_second_put_is_a_counted_no_op(self):
+        """A fingerprint is a content address: a repeat store keeps the
+        first entry and counts as redundant, never as a second store."""
+        cache = ArtifactCache()
+        cache.put("fp", "first")
+        cache.put("fp", "anything")
+        assert cache.get("fp") == "first"
+        assert cache.stats.stores == 1
+        assert cache.stats.redundant_stores == 1
+
     def test_clear(self):
         cache = ArtifactCache()
         cache.put("fp", 1)

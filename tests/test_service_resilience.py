@@ -1,14 +1,14 @@
-"""Resilient scheduling: retries, breakers, timeouts, rerun on a cache.
+"""Resilient scheduling: retries, flaky caches, rerun on a cache.
 
-Everything here runs on a :class:`SimClock` (no real sleeping) except
-the timeout-discard regression test, which needs genuine wall-clock
-stragglers.
+Everything here runs on a :class:`SimClock` (no real sleeping).
 """
 
+import argparse
 import pickle
 
 import pytest
 
+from repro.cli import _resilience_from_args
 from repro.compilers.framework import CompilationError
 from repro.faults import (
     FaultPlan,
@@ -19,12 +19,11 @@ from repro.faults import (
 from repro.frontend import parse_module
 from repro.service import (
     ArtifactCache,
-    CircuitBreaker,
     CompileRequest,
     CompileService,
     JobError,
-    RetryPolicy,
     SimClock,
+    backoff_s,
 )
 
 SOURCE = """
@@ -66,8 +65,7 @@ def artifact_key(result):
         kernel.ptx.render() if kernel.ptx is not None else ""
         for kernel in result.kernels
     )
-    return ("ok", pickle.dumps(renders), result.compiler, result.target,
-            getattr(result, "degraded_to", ""))
+    return ("ok", pickle.dumps(renders), result.compiler, result.target)
 
 
 class TestRetry:
@@ -83,8 +81,7 @@ class TestRetry:
             if plan.compile_fault(fingerprint, k) is None
         )
         service = CompileService(
-            retry=RetryPolicy(max_retries=first_ok, base_s=0.01),
-            fault_plan=plan, clock=clock,
+            retries=first_ok, fault_plan=plan, clock=clock,
         )
         artifact = service.compile(module, "caps", "cuda")
         assert artifact.kernels[0].ptx is not None
@@ -93,24 +90,24 @@ class TestRetry:
         assert len(clock.sleeps) == first_ok  # slept on the sim clock only
 
     def test_backoff_is_exponential_with_jitter(self):
-        policy = RetryPolicy(max_retries=5, base_s=0.02, multiplier=2.0,
-                             jitter=0.5, seed=0)
         fp = "f" * 64
-        backoffs = [policy.backoff_s(fp, k) for k in range(4)]
+        backoffs = [backoff_s(fp, k) for k in range(8)]
         for k, backoff in enumerate(backoffs):
-            base = 0.02 * 2.0 ** k
+            base = min(0.02 * 2.0 ** k, 1.0)  # capped at 1 s from k = 6
             assert base * 0.5 <= backoff <= base * 1.5
-        # deterministic: same (seed, fp, attempt) -> same jitter
-        assert backoffs == [policy.backoff_s(fp, k) for k in range(4)]
+        # deterministic: same (fp, attempt) -> same jitter
+        assert backoffs == [backoff_s(fp, k) for k in range(8)]
         # de-synchronized across fingerprints
-        assert backoffs != [policy.backoff_s("e" * 64, k) for k in range(4)]
+        assert backoffs != [backoff_s("e" * 64, k) for k in range(8)]
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="retries"):
+            CompileService(retries=-1)
 
     def test_retries_exhausted_surfaces_fault(self, module):
         plan = FaultPlan(seed=0, rules=(FaultRule("transient", 1.0),))
-        service = CompileService(
-            retry=RetryPolicy(max_retries=2), fault_plan=plan,
-            clock=SimClock(),
-        )
+        service = CompileService(retries=2, fault_plan=plan,
+                                 clock=SimClock())
         with pytest.raises(TransientCompileFault):
             service.compile(module, "caps", "cuda")
         assert service.metrics.retries == 2
@@ -137,10 +134,8 @@ class TestRetry:
             calls.append(request.fingerprint)
             raise CompilationError("nope")
 
-        service = CompileService(
-            compile_fn=failing, retry=RetryPolicy(max_retries=3),
-            clock=SimClock(),
-        )
+        service = CompileService(compile_fn=failing, retries=3,
+                                 clock=SimClock())
         for _ in range(2):
             with pytest.raises(CompilationError):
                 service.compile(module, "caps", "cuda")
@@ -177,102 +172,6 @@ class TestFlakyCache:
         assert service.metrics.cache_io_errors == 1
 
 
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_degrades(self):
-        """Persistent faults on caps-opencl open the breaker; once open,
-        failing points degrade to caps-cuda, marked, never silent."""
-        # drive the breaker with a compile_fn that fails the opencl route
-        # with an *injected* fault (only kind="fault" counts for the
-        # breaker) and no retry policy
-        def failing_opencl(request):
-            if request.target == "opencl":
-                raise TransientCompileFault(
-                    "injected", site="compile",
-                    fingerprint=request.fingerprint,
-                )
-            from repro.core.method import compile_stage
-
-            return compile_stage(request.module, request.compiler,
-                                 request.target, request.flags)
-
-        breaker = CircuitBreaker(failure_threshold=3)
-        service = CompileService(compile_fn=failing_opencl, breaker=breaker,
-                                 clock=SimClock())
-        results = service.sweep(sweep_requests(6, target="opencl"))
-        # first 2 failures: breaker counting; 3rd trips it; 3rd..6th degrade
-        assert isinstance(results[0], JobError)
-        assert isinstance(results[1], JobError)
-        for slot in results[2:]:
-            assert not isinstance(slot, JobError)
-            assert slot.degraded is True
-            assert slot.degraded_from == "caps-opencl"
-            assert slot.degraded_to == "caps-cuda"
-            assert slot.target == "cuda"
-        assert service.metrics.degraded == 4
-        assert service.stats_snapshot()["breaker"]["trips"] == 1
-        state = service.registry.gauge("faults.breaker_state.caps-opencl")
-        assert state.value == 1.0
-
-    def test_success_closes_breaker(self, module):
-        breaker = CircuitBreaker(failure_threshold=1)
-        key = breaker.key_for("caps", "opencl")
-        assert breaker.on_result(key, failed=True) == "tripped"
-        assert breaker.is_open(key)
-        assert breaker.on_result(key, failed=False) == "closed"
-        assert not breaker.is_open(key)
-        assert breaker.snapshot() == {"open": []}
-
-    def test_compile_errors_do_not_trip(self):
-        """Deterministic refusals (PGI has no OpenCL backend) are data,
-        not infrastructure failure — the breaker must not re-route
-        them."""
-        breaker = CircuitBreaker(failure_threshold=2)
-        service = CompileService(breaker=breaker, clock=SimClock())
-        results = service.sweep(
-            sweep_requests(5, compiler="pgi", target="opencl")
-        )
-        for slot in results:
-            assert isinstance(slot, JobError)
-            assert slot.kind == "compile-error"
-        assert service.stats_snapshot()["breaker"]["trips"] == 0
-        assert service.metrics.degraded == 0
-
-
-class TestTimeoutDiscard:
-    def test_discarded_result_is_idempotent(self):
-        """Regression: a timed-out worker finishes later and stores its
-        result anyway; the store must not double-count."""
-        import time as _time
-
-        plan = FaultPlan(seed=0, rules=(FaultRule("slow", 1.0, seconds=0.2),))
-
-        def slow_compile(request):
-            _time.sleep(plan.slow_penalty_s(request.fingerprint, 0))
-            return f"artifact:{request.fingerprint[:8]}"
-
-        cache = ArtifactCache()
-        service = CompileService(
-            cache=cache, compile_fn=slow_compile, jobs=2, timeout_s=0.05,
-        )
-        requests = sweep_requests(2)
-        results = service.sweep(requests)
-        assert all(isinstance(r, JobError) and r.kind == "timeout"
-                   for r in results)
-        # join the abandoned workers: their late results land in the cache
-        service.close()
-        assert cache.stats.stores == 2
-        # the timed-out-but-completed artifacts are reused on re-sweep
-        again = CompileService(cache=cache, compile_fn=slow_compile)
-        warm = again.sweep(requests)
-        assert [r for r in warm] == [f"artifact:{r.fingerprint[:8]}"
-                                     for r in requests]
-        assert again.metrics.compiles == 0
-        # double-store is a counted no-op
-        cache.put(requests[0].fingerprint, "anything")
-        assert cache.stats.stores == 2
-        assert cache.stats.redundant_stores == 1
-
-
 class TestCacheRerun:
     """A killed sweep resumes by running it again on the same store."""
 
@@ -291,10 +190,11 @@ class TestCacheRerun:
         assert rerun_service.metrics.compiles == 3
         assert rerun_service.metrics.cache_hits == 3
 
-    def test_rerun_with_breaker_equals_uninterrupted(self):
-        """A persistently failing route behind a breaker: the rerun
-        advances a fresh breaker through every point, so it degrades
-        exactly the points the uninterrupted sweep degraded."""
+    def test_rerun_with_persistent_fault_equals_uninterrupted(self):
+        """A persistently failing caps/opencl route, on the service
+        ``--faults`` builds: every slot is a ``kind="fault"`` JobError,
+        never an artifact of another target, uninterrupted and rerun
+        alike."""
         def failing_opencl(request):
             if request.target == "opencl":
                 raise PersistentCompileFault(
@@ -306,24 +206,26 @@ class TestCacheRerun:
             return compile_stage(request.module, request.compiler,
                                  request.target, request.flags)
 
-        def service(cache=None):
-            return CompileService(
-                cache=cache, compile_fn=failing_opencl, clock=SimClock(),
-                breaker=CircuitBreaker(failure_threshold=2),
-            )
+        kwargs = _resilience_from_args(
+            argparse.Namespace(faults="transient:p=0", retries=None))
 
-        requests = sweep_requests(4, target="opencl")
-        expected = [artifact_key(r) for r in service().sweep(requests)]
-        assert [k[0] for k in expected] == ["error", "ok", "ok", "ok"]
+        def service(cache=None):
+            return CompileService(cache=cache, compile_fn=failing_opencl,
+                                  clock=SimClock(), **kwargs)
+
+        requests = sweep_requests(6, target="opencl")
+        uninterrupted = service().sweep(requests)
 
         cache = ArtifactCache()
-        service(cache).sweep(requests[:1])  # "killed" after point 1
-        rerun_service = service(cache)
-        rerun = rerun_service.sweep(requests)
-        assert [artifact_key(r) for r in rerun] == expected
-        assert isinstance(rerun[0], JobError) and rerun[0].kind == "fault"
-        assert all(slot.degraded for slot in rerun[1:])
-        assert rerun_service.metrics.degraded == 3
+        service(cache).sweep(requests[:2])  # "killed" after point 2
+        rerun = service(cache).sweep(requests)
+        for slots in (uninterrupted, rerun):
+            assert all(isinstance(slot, JobError) and slot.kind == "fault"
+                       for slot in slots)
+            assert not any(getattr(slot, "target", "") == "cuda"
+                           for slot in slots)
+        assert [artifact_key(r) for r in rerun] == \
+            [artifact_key(r) for r in uninterrupted]
 
     def test_cached_refusal_reruns_field_for_field(self, tmp_path, module):
         def failing(request):
@@ -358,8 +260,7 @@ class TestDeterminismUnderFaults:
         plan = FaultPlan(seed=0, rules=(FaultRule("transient", 0.3),
                                         FaultRule("cache", 0.1)))
         service = CompileService(
-            jobs=jobs, fault_plan=plan,
-            retry=RetryPolicy(max_retries=3), clock=SimClock(),
+            jobs=jobs, fault_plan=plan, retries=3, clock=SimClock(),
         )
         try:
             keys = [artifact_key(r) for r in service.sweep(requests)]
@@ -374,10 +275,8 @@ class TestDeterminismUnderFaults:
         def run():
             plan = FaultPlan(seed=3, rules=(FaultRule("transient", 0.5),
                                             FaultRule("persistent", 0.2)))
-            service = CompileService(
-                fault_plan=plan, retry=RetryPolicy(max_retries=2),
-                clock=SimClock(),
-            )
+            service = CompileService(fault_plan=plan, retries=2,
+                                     clock=SimClock())
             keys = [artifact_key(r) for r in service.sweep(sweep_requests(8))]
             return keys, service.metrics.snapshot()
 
