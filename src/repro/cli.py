@@ -145,14 +145,21 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for ``--retries``: a bad value is a usage error
-    (argparse also reports the ``ValueError`` of a non-integer)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for a count or size flag: a value below *minimum*
+    is a usage error (exit 2), as is a non-integer."""
+    expected = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer >= {minimum}")
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: ..."
+    return parse
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
@@ -212,7 +219,6 @@ def _print_service_stats(args: argparse.Namespace, service) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS
-    from .service import set_default_service
     from .telemetry import get_tracer
 
     names = list(ALL_EXPERIMENTS) if "all" in args.ids else args.ids
@@ -223,19 +229,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     failures = 0
     with _build_service(args) as service:
-        # the experiment drivers share the process-wide default service
-        previous = set_default_service(service)
-        try:
-            for name in names:
-                with get_tracer().span(f"experiment.{name}", category="cli",
-                                       label=name):
-                    result = ALL_EXPERIMENTS[name](
-                        paper_scale=args.paper_scale)
-                print(result.report())
-                print()
-                failures += len(result.failed_claims())
-        finally:
-            set_default_service(previous)
+        for name in names:
+            with get_tracer().span(f"experiment.{name}", category="cli",
+                                   label=name):
+                result = ALL_EXPERIMENTS[name](
+                    service, paper_scale=args.paper_scale)
+            print(result.report())
+            print()
+            failures += len(result.failed_claims())
         _print_service_stats(args, service)
     return 1 if failures else 0
 
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_service_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_int_at_least(1), default=1, metavar="N",
             help="compile sweep points on N worker threads (results are "
                  "deterministic and identical to --jobs 1)",
         )
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "says otherwise",
         )
         p.add_argument(
-            "--retries", type=_non_negative_int, default=None, metavar="N",
+            "--retries", type=_int_at_least(0), default=None, metavar="N",
             help="retry transient compile failures up to N times with "
                  "exponential backoff (default: 3 with --faults, else 0)",
         )
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
     p.add_argument("--target", choices=("cuda", "opencl"), default="cuda")
     p.add_argument("--ptx", action="store_true", help="print full listings")
-    p.add_argument("--size", type=int, default=4096,
+    p.add_argument("--size", type=_int_at_least(1), default=4096,
                    help="problem size for launch-config resolution")
     p.set_defaults(func=_cmd_compile)
 
@@ -543,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "stencil", "lbm", "pic"))
     p.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
     p.add_argument("--device", default="gpu")
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=_int_at_least(1), default=None)
     p.add_argument("--opencl", action="store_true",
                    help="include the hand-written OpenCL version")
     add_trace_flags(p)
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default=None, metavar="LIST",
                    help="comma-separated kernel families "
                         "(default: stencil,lbm,pic)")
-    p.add_argument("--size", type=int, default=None, metavar="N",
+    p.add_argument("--size", type=_int_at_least(1), default=None, metavar="N",
                    help="problem size for every family "
                         "(default: each family's test size)")
     p.add_argument("--devices", default=None, metavar="LIST",
@@ -584,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="the Fig. 4 heat map")
     p.add_argument("--device", default="gpu")
     p.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
-    p.add_argument("--size", type=int, default=2048)
+    p.add_argument("--size", type=_int_at_least(1), default=2048)
     p.add_argument("--ladder", default=None, metavar="RUNGS",
                    help="climb optimization rungs on every grid point: "
                         "comma-separated rung names (fuse-reuse,shared-tile), "
@@ -595,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heatmap)
 
     p = sub.add_parser("autotune", help="auto-tune LUD thread distribution")
-    p.add_argument("--size", type=int, default=1024)
+    p.add_argument("--size", type=_int_at_least(1), default=1024)
     p.add_argument("--ladder", default=None, metavar="RUNGS",
                    help="climb optimization rungs on every configuration: "
                         "comma-separated rung names (fuse-reuse,shared-tile), "
@@ -610,10 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the execution-heavy GE/LUD/Hydro kernel sweep and print "
              "its result digest (docs/EXECUTOR.md)",
     )
-    p.add_argument("--size", type=int, default=None, metavar="N",
+    p.add_argument("--size", type=_int_at_least(2), default=None, metavar="N",
                    help="problem size for every benchmark in the sweep "
                         "(default: ge=96 lud=128 hydro=96)")
-    p.add_argument("--repeats", type=int, default=1, metavar="N",
+    p.add_argument("--repeats", type=_int_at_least(1), default=1, metavar="N",
                    help="run each kernel task N times (default 1)")
     add_service_flags(p)
     add_resilience_flags(p)
@@ -625,9 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
         "difftest",
         help="seeded cross-compiler differential fuzzing (docs/DIFFTEST.md)",
     )
-    p.add_argument("--seeds", type=int, default=50, metavar="N",
+    p.add_argument("--seeds", type=_int_at_least(1), default=50, metavar="N",
                    help="number of generator seeds to sweep (default 50)")
-    p.add_argument("--start", type=int, default=0, metavar="N",
+    p.add_argument("--start", type=_int_at_least(0), default=0, metavar="N",
                    help="first seed (default 0)")
     p.add_argument("--shrink", action="store_true",
                    help="shrink unexplained failures to minimal reproducers")
@@ -655,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peer-dir", action="append", default=None, metavar="PATH",
                    help="read-through peer cache directory (repeatable): "
                         "local misses consult PATH before compiling")
-    p.add_argument("--queue-depth", type=int, default=256, metavar="N",
+    p.add_argument("--queue-depth", type=_int_at_least(1), default=256,
+                   metavar="N",
                    help="admission bound on queued sweep points; beyond it "
                         "requests are rejected with 429 (default 256)")
     p.add_argument("--quota-rate", type=float, default=64.0, metavar="R",
@@ -665,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-test", action="store_true",
                    help="run the end-to-end smoke (concurrent clients, "
                         "byte-identity, coalescing, admission) and exit")
-    p.add_argument("--clients", type=int, default=4, metavar="N",
+    p.add_argument("--clients", type=_int_at_least(1), default=4, metavar="N",
                    help="concurrent clients for --self-test (default 4)")
-    p.add_argument("--points", type=int, default=72, metavar="N",
+    p.add_argument("--points", type=_int_at_least(1), default=72, metavar="N",
                    help="Fig. 4 grid points for --self-test (default 72)")
     add_service_flags(p)
     add_resilience_flags(p)
@@ -697,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser("sweep",
                          help="drive the Fig. 4 grid through the daemon")
-    cp.add_argument("--points", type=int, default=None, metavar="N",
+    cp.add_argument("--points", type=_int_at_least(1), default=None,
+                    metavar="N",
                     help="grid points to sweep (default: all 72)")
     cp.add_argument("--compiler", choices=("caps", "pgi"), default="caps")
 
@@ -711,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/TELEMETRY.md)",
     )
     p.add_argument("file", help="a trace written by --trace (either format)")
-    p.add_argument("--limit", type=int, default=400, metavar="N",
+    p.add_argument("--limit", type=_int_at_least(1), default=400, metavar="N",
                    help="max timeline-tree lines to render (default 400)")
     p.set_defaults(func=_cmd_telemetry)
 
@@ -720,16 +723,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cli_errors(func):
     """Turn the structured failure modes into clean CLI exits: a bad
-    --faults spec, an unusable --cache-dir or mini-C source that does
-    not lex or parse is a usage error (2); a sweep point still failing
-    after its retries are exhausted is a run failure (1), each
-    reported as one line rather than a traceback."""
+    --faults spec, an unusable --cache-dir, mini-C source that does
+    not lex or parse, or a trace file that does not load is a usage
+    error (2); a sweep point still failing after its retries are
+    exhausted is a run failure (1), each reported as one line rather
+    than a traceback."""
     import functools
 
     from .core.ladder import LadderError
     from .faults import FaultSpecError
     from .frontend import LexError, ParseError, PragmaError
     from .service import CacheDirError, JobError
+    from .telemetry import TraceFileError
 
     @functools.wraps(func)
     def wrapped(args: argparse.Namespace) -> int:
@@ -747,6 +752,9 @@ def _cli_errors(func):
         except (LexError, ParseError, PragmaError) as exc:
             print(f"repro: bad source: {exc}", file=sys.stderr)
             return 2
+        except TraceFileError as exc:
+            print(f"repro: bad trace: {exc}", file=sys.stderr)
+            return 2
         except JobError as exc:
             print(f"repro: sweep failed after retries: {exc}",
                   file=sys.stderr)
@@ -758,13 +766,20 @@ def _cli_errors(func):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     backend = getattr(args, "exec_backend", None)
-    if backend is not None:
-        # every execute_kernel() call in the process honors this default,
-        # so experiment needs no extra plumbing
-        from .runtime.executor import set_default_backend
+    if backend is None:
+        return _run(args)
+    # every execute_kernel() call in the process honors this default
+    # for the length of the command, so experiment needs no plumbing
+    from .runtime.executor import set_default_backend
 
-        set_default_backend(backend)
+    previous = set_default_backend(backend)
+    try:
+        return _run(args)
+    finally:
+        set_default_backend(previous)
 
+
+def _run(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return _cli_errors(args.func)(args)

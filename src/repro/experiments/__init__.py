@@ -1,10 +1,11 @@
 """Regeneration of every table and figure of the paper's evaluation.
 
-``run_all()`` executes all experiments and returns their results; each
-module can also be run individually.  See EXPERIMENTS.md for the
-paper-vs-measured record.
+``run_all(service)`` executes all experiments on one compile service
+and returns their results; each experiment can also be run on its own.
+See EXPERIMENTS.md for the paper-vs-measured record.
 """
 
+from ..service import CompileService
 from .ablation_exp import (
     ablation_gpu_serial_floor,
     ablation_mic_scalarization,
@@ -55,10 +56,12 @@ ALL_EXPERIMENTS = {
 }
 
 
-def run_all(paper_scale: bool = False) -> dict[str, ExperimentResult]:
-    """Run every experiment; keys are 'table1'...'fig16'."""
+def run_all(service: CompileService,
+            paper_scale: bool = False) -> dict[str, ExperimentResult]:
+    """Run every experiment on one *service*, so later figures reuse
+    earlier figures' artifacts; keys are 'table1'...'fig16'."""
     return {
-        name: experiment(paper_scale=paper_scale)
+        name: experiment(service, paper_scale=paper_scale)
         for name, experiment in ALL_EXPERIMENTS.items()
     }
 

@@ -23,25 +23,25 @@ from ..devices.specs import DeviceSpec, K40, PHI_5110P, PcieLink
 from ..kernels import get_benchmark
 from ..perf.model import model_overrides
 from ..runtime.launcher import Accelerator
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, size_for
 
 
-def _hydro_mic_gain() -> float:
+def _hydro_mic_gain(service: CompileService) -> float:
     bench = get_benchmark("hydro")
     n = size_for("hydro", False)
     stages = bench.stages()
     times = {}
     for stage in ("base", "optimized"):
-        compiled = get_default_service().compile(stages[stage], "caps",
-                                                 "opencl")
+        compiled = service.compile(stages[stage], "caps", "opencl")
         accelerator = Accelerator(PHI_5110P)
         bench.run(accelerator, compiled, n, steps=10)
         times[stage] = accelerator.elapsed_s
     return times["base"] / times["optimized"]
 
 
-def _lud_serial_gap(gpu_spec: DeviceSpec | None = None) -> float:
+def _lud_serial_gap(service: CompileService,
+                    gpu_spec: DeviceSpec | None = None) -> float:
     import dataclasses
 
     bench = get_benchmark("lud")
@@ -49,7 +49,6 @@ def _lud_serial_gap(gpu_spec: DeviceSpec | None = None) -> float:
     samples = 16
     stages = bench.stages()
     spec = gpu_spec or K40
-    service = get_default_service()
     caps = service.compile(stages["base"], "caps", "cuda")
     pgi = service.compile(stages["base"], "pgi", "cuda")
     times = {}
@@ -64,13 +63,13 @@ def _lud_serial_gap(gpu_spec: DeviceSpec | None = None) -> float:
     return times["caps"] / times["pgi"]
 
 
-def _bfs_inversion(link: PcieLink | None = None) -> float:
+def _bfs_inversion(service: CompileService,
+                   link: PcieLink | None = None) -> float:
     """PGI time / CAPS time for the indep BFS stage (< 1 means PGI wins)."""
     bench = get_benchmark("bfs")
     n = size_for("bfs", False)
     stages = bench.stages()
     times = {}
-    service = get_default_service()
     for label in ("caps", "pgi"):
         compiled = service.compile(stages["indep"], label, "cuda")
         kwargs = {"link": link} if link is not None else {}
@@ -80,11 +79,13 @@ def _bfs_inversion(link: PcieLink | None = None) -> float:
     return times["pgi"] / times["caps"]
 
 
-def ablation_mic_scalarization(paper_scale: bool = False) -> ExperimentResult:
+def ablation_mic_scalarization(
+    service: CompileService, paper_scale: bool = False
+) -> ExperimentResult:
     """Without the KNC per-work-item cliff, Fig. 15's MIC gain collapses."""
-    with_cliff = _hydro_mic_gain()
+    with_cliff = _hydro_mic_gain(service)
     with model_overrides(MIC_SCALARIZED_ITEM_OVERHEAD=0.0):
-        without_cliff = _hydro_mic_gain()
+        without_cliff = _hydro_mic_gain(service)
     claims = [
         Claim(
             "with the scalarization cliff, the Gridify optimization "
@@ -109,14 +110,16 @@ def ablation_mic_scalarization(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def ablation_gpu_serial_floor(paper_scale: bool = False) -> ExperimentResult:
+def ablation_gpu_serial_floor(
+    service: CompileService, paper_scale: bool = False
+) -> ExperimentResult:
     """The serial CAPS-baseline gap (Fig. 3) rests on the single-lane
     ``scalar_cpi`` floor of the GPU issue model."""
     import dataclasses
 
-    gap = _lud_serial_gap()
+    gap = _lud_serial_gap(service)
     fast_lane = dataclasses.replace(K40, scalar_cpi=1.0)
-    gap_ablated = _lud_serial_gap(fast_lane)
+    gap_ablated = _lud_serial_gap(service, fast_lane)
     claims = [
         Claim(
             "with the in-order-lane floor, the serial CAPS baseline is "
@@ -141,12 +144,14 @@ def ablation_gpu_serial_floor(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def ablation_pcie_bandwidth(paper_scale: bool = False) -> ExperimentResult:
+def ablation_pcie_bandwidth(
+    service: CompileService, paper_scale: bool = False
+) -> ExperimentResult:
     """Fig. 10's inversion (sequential PGI beating parallel CAPS) holds
     only while the PCIe link is slow enough for transfers to dominate."""
-    ratio_slow = _bfs_inversion()
+    ratio_slow = _bfs_inversion(service)
     fast_link = PcieLink(bandwidth_gbps=48.0, latency_us=2.0)  # ~PCIe gen4
-    ratio_fast = _bfs_inversion(fast_link)
+    ratio_fast = _bfs_inversion(service, fast_link)
     claims = [
         Claim(
             "on the 2014-era link, PGI beats CAPS despite running "
@@ -170,7 +175,9 @@ def ablation_pcie_bandwidth(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def futurework_data_regions(paper_scale: bool = False) -> ExperimentResult:
+def futurework_data_regions(
+    service: CompileService, paper_scale: bool = False
+) -> ExperimentResult:
     """The paper's future work, implemented: data regions hoist CAPS's
     per-iteration BFS transfers and flip the Fig. 10 outcome."""
     bench = get_benchmark("bfs")
@@ -178,7 +185,6 @@ def futurework_data_regions(paper_scale: bool = False) -> ExperimentResult:
     stages = bench.stages()
     times = {}
     transfers = {}
-    service = get_default_service()
     for label, stage, compiler in (
         ("caps-indep", "indep", "caps"),
         ("caps-dataregion", "dataregion", "caps"),
@@ -220,7 +226,9 @@ def futurework_data_regions(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def futurework_autotune(paper_scale: bool = False) -> ExperimentResult:
+def futurework_autotune(
+    service: CompileService, paper_scale: bool = False
+) -> ExperimentResult:
     """Auto-tuning (the paper's contrasted approach) vs the hand method:
     the exhaustive tuner finds the same optimum region the heat maps did,
     and the portable tuner lands in the paper's portable configuration."""
@@ -235,7 +243,6 @@ def futurework_autotune(paper_scale: bool = False) -> ExperimentResult:
     n = 2048 if not paper_scale else size_for("lud", True)
     gangs = (1, 64, 128, 256, 512)
     workers = (1, 4, 8, 16, 32, 128)
-    service = get_default_service()
     ev_gpu = make_lud_evaluator(bench, K40, n=n, service=service)
     ev_mic = make_lud_evaluator(bench, PHI_5110P, n=n, service=service)
 

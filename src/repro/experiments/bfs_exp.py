@@ -13,13 +13,13 @@ from ..core.method import (
 from ..devices.specs import K40, PHI_5110P
 from ..kernels import get_benchmark
 from ..ptx.counter import format_comparison
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 LEVELS = 12
 
 
-def fig10(paper_scale: bool = False) -> ExperimentResult:
+def fig10(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 10: elapsed time of BFS on GPU and MIC."""
     bench = get_benchmark("bfs")
     n = size_for("bfs", paper_scale)
@@ -34,7 +34,6 @@ def fig10(paper_scale: bool = False) -> ExperimentResult:
         ("indep", "caps", "opencl", PHI_5110P),
         ("indep", "pgi", "cuda", K40),
     ]
-    service = get_default_service()
     for stage, compiler, target, device in matrix:
         rows.append(
             run_stage(bench, stages[stage], stage, compiler, target, device, n,
@@ -106,12 +105,11 @@ def fig10(paper_scale: bool = False) -> ExperimentResult:
                             rows, claims, format_rows(rows))
 
 
-def fig11(paper_scale: bool = False) -> ExperimentResult:
+def fig11(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 11: PTX instructions of BFS."""
     bench = get_benchmark("bfs")
     stages = bench.stages()
 
-    service = get_default_service()  # reuses fig10's compiled artifacts
     caps_base = ptx_profile(service.compile(stages["base"], "caps", "cuda"))
     caps_regrouped = ptx_profile(
         service.compile(stages["regrouped"], "caps", "cuda")

@@ -14,11 +14,11 @@ from ..devices.specs import K40, PHI_5110P
 from ..kernels import get_benchmark
 from ..ptx.counter import format_comparison
 from ..ptx.isa import Category
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 
-def fig12(paper_scale: bool = False) -> ExperimentResult:
+def fig12(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 12: elapsed time of BP on GPU and MIC."""
     bench = get_benchmark("bp")
     n = size_for("bp", paper_scale)
@@ -39,7 +39,6 @@ def fig12(paper_scale: bool = False) -> ExperimentResult:
         ("reduction", "caps", "opencl", PHI_5110P),
         ("reduction", "pgi", "cuda", K40),
     ]
-    service = get_default_service()
     validate_inputs = bench.inputs(bench.meta.test_size)
     for stage, compiler, target, device in matrix:
         # functional validation alongside the model run: catches the CAPS
@@ -120,11 +119,10 @@ def fig12(paper_scale: bool = False) -> ExperimentResult:
                             rows, claims, format_rows(rows))
 
 
-def fig13(paper_scale: bool = False) -> ExperimentResult:
+def fig13(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 13: the CUDA shared-memory tree reduction skeleton."""
     bench = get_benchmark("bp")
-    compiled = get_default_service().compile(bench.stages()["reduction"],
-                                             "pgi", "cuda")
+    compiled = service.compile(bench.stages()["reduction"], "pgi", "cuda")
     ptx = compiled.kernel("bp_layer_forward").ptx
     assert ptx is not None
     ops = ptx.opcodes()
@@ -144,12 +142,11 @@ def fig13(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def fig14(paper_scale: bool = False) -> ExperimentResult:
+def fig14(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 14: PTX instructions of BP."""
     bench = get_benchmark("bp")
     stages = bench.stages()
 
-    service = get_default_service()  # reuses fig12's compiled artifacts
     caps = {
         stage: ptx_profile(service.compile(stages[stage], "caps", "cuda"))
         for stage in ("base", "indep", "unroll", "reduction")

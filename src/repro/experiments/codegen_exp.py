@@ -17,7 +17,7 @@ from ..compilers.opencl import (
 )
 from ..frontend.parser import parse_kernel, parse_module
 from ..ptx.counter import InstructionProfile
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult
 
 #: a simple tiled matrix-vector body used for the Fig. 1 contrast
@@ -42,10 +42,10 @@ void axpy_shared(const float *a, float *y, int n) {
 """
 
 
-def fig1(paper_scale: bool = False) -> ExperimentResult:
+def fig1(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 1: tiling in CUDA (a) vs OpenACC (b)."""
     # (b) OpenACC tiling through CAPS: strip-mined, global memory only
-    acc = get_default_service().compile(
+    acc = service.compile(
         parse_module(_ACC_TILED, "tile-demo"), "caps", "cuda")
     acc_profile = InstructionProfile.of(acc.kernels[0].ptx)
     tiled_ir = acc.kernels[0].ir
@@ -99,7 +99,7 @@ def fig1(paper_scale: bool = False) -> ExperimentResult:
                             [acc_profile, cuda_profile], claims, rendered)
 
 
-def fig2(paper_scale: bool = False) -> ExperimentResult:
+def fig2(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 2: the code-generation process of the study."""
     source = """
 #pragma acc kernels
@@ -112,7 +112,6 @@ void demo(float *x, int n) {
 }
 """
     module = parse_module(source, "demo")
-    service = get_default_service()
     caps_cuda = service.compile(module, "caps", "cuda")
     caps_opencl = service.compile(module, "caps", "opencl")
     pgi_cuda = service.compile(module, "pgi", "cuda")

@@ -1,8 +1,9 @@
 """Shared experiment scaffolding.
 
-Every experiment module exposes ``run(paper_scale=False)`` returning an
-:class:`ExperimentResult` with the regenerated rows/series and a list of
-*claims* — the paper's qualitative findings, each checked against the
+Every experiment is a function ``name(service, paper_scale=False)`` that
+compiles through the :class:`~repro.service.CompileService` it is given and
+returns an :class:`ExperimentResult` with the regenerated rows/series and a
+list of *claims* — the paper's qualitative findings, each checked against the
 simulated data.  ``paper_scale=True`` uses the exact problem sizes of
 Table IV; the default uses reduced sizes whose shapes match (asserted by
 the test suite) but that run in seconds.

@@ -15,7 +15,7 @@ from ..core.method import (
 from ..devices.specs import K40, PHI_5110P
 from ..kernels import get_benchmark
 from ..ptx.counter import InstructionProfile, format_comparison
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 
@@ -26,7 +26,7 @@ def _pgi_flags(stage: str) -> FlagSet:
     return FlagSet("PGI", tuple(flags))
 
 
-def fig7(paper_scale: bool = False) -> ExperimentResult:
+def fig7(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 7: elapsed time of GE OpenACC on GPU and MIC."""
     bench = get_benchmark("ge")
     n = size_for("ge", paper_scale)
@@ -46,7 +46,6 @@ def fig7(paper_scale: bool = False) -> ExperimentResult:
         ("reorganized", "caps", "cuda", K40),
         ("reorganized", "caps", "opencl", PHI_5110P),
     ]
-    service = get_default_service()
     for stage, compiler, target, device in matrix:
         flags = _pgi_flags(stage) if compiler == "pgi" else None
         rows.append(
@@ -128,11 +127,10 @@ def fig7(paper_scale: bool = False) -> ExperimentResult:
                             rows, claims, format_rows(rows))
 
 
-def fig8(paper_scale: bool = False) -> ExperimentResult:
+def fig8(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 8: the advanced thread-distribution codelet configuration."""
     bench = get_benchmark("ge")
-    compiled = get_default_service().compile(bench.stages()["indep"],
-                                             "caps", "cuda")
+    compiled = service.compile(bench.stages()["indep"], "caps", "cuda")
     codelet = generated_codelet(compiled.kernel("ge_fan2"))
     claims = [
         Claim("the codelet sets a 2-D global work size",
@@ -149,12 +147,11 @@ def fig8(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def fig9(paper_scale: bool = False) -> ExperimentResult:
+def fig9(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 9: PTX instructions of GE for CAPS and PGI (+ OpenCL)."""
     bench = get_benchmark("ge")
     stages = bench.stages()
 
-    service = get_default_service()  # reuses fig7's compiled artifacts
     caps = {
         stage: ptx_profile(service.compile(stages[stage], "caps", "cuda"))
         for stage in ("base", "indep", "unroll", "tile", "reorganized")

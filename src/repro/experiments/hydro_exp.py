@@ -6,13 +6,13 @@ from ..compilers.framework import CompilationError
 from ..core.method import StageResult, format_rows, run_opencl, run_stage
 from ..devices.specs import GCC, ICC, K40, PHI_5110P
 from ..kernels import get_benchmark
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 STEPS = 10
 
 
-def fig15(paper_scale: bool = False) -> ExperimentResult:
+def fig15(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 15: elapsed time of the OpenCL and CAPS OpenACC Hydro."""
     bench = get_benchmark("hydro")
     n = size_for("hydro", paper_scale)
@@ -28,7 +28,6 @@ def fig15(paper_scale: bool = False) -> ExperimentResult:
         ("optimized", "cuda", K40, ICC),
         ("optimized", "opencl", PHI_5110P, ICC),
     ]
-    service = get_default_service()
     for stage, target, device, toolchain in matrix:
         row = run_stage(
             bench, stages[stage], f"{stage}-{toolchain.name}", "caps", target,

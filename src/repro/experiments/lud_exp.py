@@ -7,7 +7,7 @@ from ..core.method import StageResult, format_rows, run_stage
 from ..core.search import lud_heatmap
 from ..devices.specs import K40, PHI_5110P
 from ..kernels import get_benchmark
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, ordering_claim, ratio_claim, size_for
 
 #: stages of Fig. 3 and the compilers that run them (PGI supports no tiling:
@@ -36,13 +36,12 @@ def _pgi_flags(stage: str) -> FlagSet:
     return FlagSet("PGI", tuple(flags))
 
 
-def fig3(paper_scale: bool = False) -> ExperimentResult:
+def fig3(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 3: elapsed time of LUD OpenACC on GPU and MIC."""
     bench = get_benchmark("lud")
     n = size_for("lud", paper_scale)
     stages = bench.stages()
 
-    service = get_default_service()
     rows: list[StageResult] = []
     for stage, compiler, target, device in FIG3_MATRIX:
         flags = _pgi_flags(stage) if compiler == "pgi" else None
@@ -93,14 +92,13 @@ def fig3(paper_scale: bool = False) -> ExperimentResult:
                             rows, claims, format_rows(rows))
 
 
-def fig4(paper_scale: bool = False) -> ExperimentResult:
+def fig4(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 4: heat maps of LUD elapsed time across thread distributions."""
     bench = get_benchmark("lud")
     # the heat-map structure needs enough per-launch parallelism to
     # resolve; below ~2048 the model plateaus into ties
     n = max(size_for("lud", paper_scale), 2048)
     # one shared service: the three maps reuse cached artifacts on re-runs
-    service = get_default_service()
     gpu_caps = lud_heatmap(bench, K40, "caps", n, service=service)
     gpu_pgi = lud_heatmap(bench, K40, "pgi", n, service=service)
     mic_caps = lud_heatmap(bench, PHI_5110P, "caps", n, service=service)
@@ -146,13 +144,12 @@ def fig4(paper_scale: bool = False) -> ExperimentResult:
     )
 
 
-def fig6(paper_scale: bool = False) -> ExperimentResult:
+def fig6(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 6: PTX instructions of LUD for CAPS and PGI."""
     from ..core.method import ptx_profile
 
     bench = get_benchmark("lud")
     stages = bench.stages()
-    service = get_default_service()  # reuses fig3's compiled artifacts
     profiles = {}
     for stage in ("base", "threaddist", "unroll", "tile"):
         profiles[("caps", stage)] = ptx_profile(

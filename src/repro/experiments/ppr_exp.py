@@ -15,7 +15,7 @@ from ..core.method import run_opencl, run_stage
 from ..core.ppr import PprEntry, format_ppr_table
 from ..devices.specs import ICC, K40, PHI_5110P
 from ..kernels import get_benchmark
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult, size_for
 
 #: the optimized OpenACC stage per benchmark (the paper's best version)
@@ -32,10 +32,9 @@ _RUN_KWARGS = {
 }
 
 
-def fig16(paper_scale: bool = False) -> ExperimentResult:
+def fig16(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Figure 16: PPR of optimized CAPS OpenACC vs OpenCL."""
     entries: list[PprEntry] = []
-    service = get_default_service()  # shares artifacts with fig7/10/12/15
     for short, stage in OPTIMIZED_STAGE.items():
         bench = get_benchmark(short)
         n = size_for(short, paper_scale)

@@ -12,11 +12,11 @@ from ..passes.library.caps import ADVERTISED_GANGS, ADVERTISED_WORKERS
 from ..passes.library.pgi import PGI_DEFAULT_BLOCK
 from ..ptx.isa import CATEGORY_OF, TABLE_V
 from ..runtime.launcher import Accelerator
-from ..service import get_default_service
+from ..service import CompileService
 from .common import Claim, ExperimentResult
 
 
-def table1(paper_scale: bool = False) -> ExperimentResult:
+def table1(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table I: compiler flags used by the method."""
     rows = [
         {"flag": info.flag, "compiler": info.compiler, "usage": info.usage}
@@ -37,7 +37,7 @@ def table1(paper_scale: bool = False) -> ExperimentResult:
                             rows, claims, rendered)
 
 
-def table2(paper_scale: bool = False) -> ExperimentResult:
+def table2(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table II: the dependent vs independent loop examples."""
     dependent = parse_kernel(
         "void dep(float *A) { int i; for (i = 2; i < 5; i++) A[i] = A[i-1] + 1.0f; }"
@@ -62,7 +62,7 @@ def table2(paper_scale: bool = False) -> ExperimentResult:
                             claims, rendered)
 
 
-def table3(paper_scale: bool = False) -> ExperimentResult:
+def table3(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table III: parallelism levels across CAPS / PGI / CUDA / OpenCL."""
     rows = [
         {"standard": level, **impls} for level, impls in
@@ -87,7 +87,7 @@ def table3(paper_scale: bool = False) -> ExperimentResult:
                             rendered)
 
 
-def table4(paper_scale: bool = False) -> ExperimentResult:
+def table4(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table IV: the four kernel benchmarks."""
     rows = list(TABLE_IV_ROWS)
     registry = {
@@ -114,7 +114,7 @@ def table4(paper_scale: bool = False) -> ExperimentResult:
                             claims, rendered)
 
 
-def table5(paper_scale: bool = False) -> ExperimentResult:
+def table5(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table V: PTX instruction categories."""
     rows = [
         {"category": category.value, "opcodes": ", ".join(opcodes)}
@@ -132,11 +132,10 @@ def table5(paper_scale: bool = False) -> ExperimentResult:
                             claims, rendered)
 
 
-def table6(paper_scale: bool = False) -> ExperimentResult:
+def table6(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table VI: default thread distributions of the compilers."""
     lud = get_benchmark("lud")
     base = lud.module()
-    service = get_default_service()
     caps_base = service.compile(base, "caps", "cuda")
     caps_gridified = service.compile(
         get_benchmark("ge").stages()["indep"], "caps", "cuda"
@@ -197,7 +196,7 @@ def table6(paper_scale: bool = False) -> ExperimentResult:
                             claims, rendered)
 
 
-def table7(paper_scale: bool = False) -> ExperimentResult:
+def table7(service: CompileService, paper_scale: bool = False) -> ExperimentResult:
     """Table VII: BFS execution modes and data transfers."""
     from .common import size_for
 
@@ -209,7 +208,6 @@ def table7(paper_scale: bool = False) -> ExperimentResult:
     rows = []
     transfer_counts = {}
     modes = {}
-    service = get_default_service()
     for compiler_name in ("CAPS", "PGI"):
         for stage in ("base", "indep"):
             compiled = service.compile(stages[stage], compiler_name.lower(),

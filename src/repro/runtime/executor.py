@@ -422,14 +422,16 @@ BACKENDS = ("scalar", "vector", "check")
 _default_backend = "scalar"
 
 
-def set_default_backend(backend: str) -> None:
+def set_default_backend(backend: str) -> str:
     """Set the process-wide backend used when ``execute_kernel`` is called
-    without an explicit one (the CLI's ``--exec-backend`` lands here)."""
+    without an explicit one (the CLI's ``--exec-backend`` lands here) and
+    return the one it replaces, so the caller can put that back."""
     global _default_backend
     if backend not in BACKENDS:
         raise ValueError(f"unknown executor backend {backend!r}; "
                          f"expected one of {BACKENDS}")
-    _default_backend = backend
+    previous, _default_backend = _default_backend, backend
+    return previous
 
 
 def _make_codegen(kernel: KernelFunction,

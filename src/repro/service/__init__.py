@@ -35,13 +35,7 @@ from .fingerprint import (
     fingerprint_request,
 )
 from .resilience import Clock, SimClock, SystemClock, backoff_s
-from .scheduler import (
-    CompileService,
-    JobError,
-    get_default_service,
-    reset_default_service,
-    set_default_service,
-)
+from .scheduler import CompileService, JobError
 
 __all__ = [
     "ArtifactCache",
@@ -61,7 +55,4 @@ __all__ = [
     "canonical_flags",
     "fingerprint_parts",
     "fingerprint_request",
-    "get_default_service",
-    "reset_default_service",
-    "set_default_service",
 ]

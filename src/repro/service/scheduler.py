@@ -43,7 +43,6 @@ one, and a faulted sweep to a re-run under the same plan.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Iterable
@@ -164,6 +163,8 @@ class CompileService:
         fault_plan: FaultPlan | None = None,
         clock: Clock | None = None,
     ) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -177,7 +178,7 @@ class CompileService:
             "service.compile_seconds")
         #: each compiled fingerprint's compile time: what a hit saves
         self._seconds_by_fp: dict[str, float] = {}
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.retries = retries
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
@@ -472,43 +473,3 @@ class CompileService:
             else:
                 span.set(status="done")
                 self._flights.settle(request.fingerprint, future, result)
-
-
-# -- process-wide default service ---------------------------------------------
-
-_default_service: CompileService | None = None
-_default_lock = threading.Lock()
-
-
-def get_default_service() -> CompileService:
-    """The process-wide service the experiment drivers share (memory-tier
-    cache only, serial execution) unless :func:`set_default_service`
-    installed another (the CLI's ``experiment`` installs the one its
-    flags built)."""
-    global _default_service
-    with _default_lock:
-        if _default_service is None:
-            _default_service = CompileService()
-        return _default_service
-
-
-def set_default_service(
-    service: CompileService | None,
-) -> CompileService | None:
-    """Make *service* the process-wide default and return the one it
-    replaces, so the caller can put that back (``None``: the next
-    :func:`get_default_service` builds a fresh one).  The caller owns
-    the service it installs: closing it stays the caller's job."""
-    global _default_service
-    with _default_lock:
-        previous, _default_service = _default_service, service
-    return previous
-
-
-def reset_default_service() -> None:
-    """Drop the process-wide default service (tests)."""
-    global _default_service
-    with _default_lock:
-        old, _default_service = _default_service, None
-    if old is not None:
-        old.close()

@@ -23,6 +23,7 @@ and every instrumentation site costs one ``enabled`` check.  The CLI's
 """
 
 from .export import (
+    TraceFileError,
     load_trace,
     span_record,
     text_report,
@@ -61,6 +62,7 @@ __all__ = [
     "NOOP_SPAN",
     "Span",
     "SpanEvent",
+    "TraceFileError",
     "Tracer",
     "configure_tracer",
     "get_registry",

@@ -33,6 +33,7 @@ from .registry import MetricsRegistry
 from .spans import Span, SpanEvent, Tracer
 
 __all__ = [
+    "TraceFileError",
     "load_trace",
     "span_record",
     "text_report",
@@ -267,13 +268,40 @@ def _span_from_chrome(event: dict[str, Any]) -> Span:
     )
 
 
+class TraceFileError(ValueError):
+    """A trace file that cannot be read back: missing, unreadable, not
+    JSON where a record should be (the message names the line), or not
+    shaped like a trace."""
+
+
+def _json_at(text: str, where: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFileError(f"{where}: not JSON ({exc.msg})") from None
+
+
 def load_trace(path: str) -> tuple[list[Span], dict[str, Any] | None]:
-    """Read a saved trace in either format; returns (spans, metrics)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a saved trace in either format; returns (spans, metrics).
+    Raises :class:`TraceFileError` for a file that is missing, does not
+    decode, or holds records without the fields a span needs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFileError(f"cannot read {path}: {exc}") from None
+    try:
+        return _parse_trace(text, path)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise TraceFileError(
+            f"{path}: not a trace ({type(exc).__name__}: {exc})") from None
+
+
+def _parse_trace(text: str,
+                 path: str) -> tuple[list[Span], dict[str, Any] | None]:
     stripped = text.lstrip()
     if stripped.startswith("{") and '"traceEvents"' in stripped[:200]:
-        payload = json.loads(text)
+        payload = _json_at(text, path)
         names: dict[int, str] = {}
         metrics: dict[str, Any] | None = None
         spans = []
@@ -292,11 +320,13 @@ def load_trace(path: str) -> tuple[list[Span], dict[str, Any] | None]:
         return spans, metrics
     spans = []
     metrics = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        record = _json_at(line, f"{path}:{lineno}")
+        if not isinstance(record, dict):
+            raise TraceFileError(f"{path}:{lineno}: not a JSON object")
         if record.get("type") == "metrics":
             metrics = record.get("snapshot")
         elif record.get("type") == "span":

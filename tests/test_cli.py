@@ -169,6 +169,90 @@ class TestResilienceFlags:
             outputs[1].split("\n-- compile service --")[0]
 
 
+class TestFlagBounds:
+    """Count and size flags reject a value below their minimum as a
+    usage error (exit 2) before the command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--jobs", "0"],
+        ["heatmap", "--jobs", "-3"],
+        ["heatmap", "--size", "0"],
+        ["heatmap", "--size", "-5"],
+        ["compile", "demo.c", "--size", "0"],
+        ["bench", "lud", "--size", "0"],
+        ["matrix", "--size", "0"],
+        ["autotune", "--size", "0"],
+        ["exec-sweep", "--size", "0"],
+        ["exec-sweep", "--size", "1"],
+        ["exec-sweep", "--repeats", "-1"],
+        ["difftest", "--seeds", "-2"],
+        ["difftest", "--start", "-1"],
+        ["serve", "--self-test", "--clients", "0"],
+        ["serve", "--self-test", "--points", "0"],
+        ["serve", "--self-test", "--queue-depth", "0"],
+        ["client", "--spawn", "sweep", "--points", "0"],
+        ["telemetry", "trace.jsonl", "--limit", "0"],
+    ])
+    def test_below_minimum_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a" in err and "integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["exec-sweep", "--size", "2"], "size", 2),
+        (["heatmap", "--jobs", "1"], "jobs", 1),
+        (["heatmap", "--retries", "0"], "retries", 0),
+        (["difftest", "--start", "0"], "start", 0),
+        (["serve", "--port", "0"], "port", 0),
+    ])
+    def test_minimum_is_accepted(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+    def test_non_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["heatmap", "--jobs", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+class TestExecBackendScope:
+    def test_exec_backend_does_not_outlive_the_command(self, capsys):
+        from repro.runtime import executor
+
+        before = executor._default_backend
+        assert main(["difftest", "--seeds", "1",
+                     "--exec-backend", "check"]) == 0
+        assert executor._default_backend == before
+
+
+class TestTelemetryCli:
+    def test_missing_trace_exits_2(self, tmp_path, capsys):
+        assert main(["telemetry", str(tmp_path / "absent.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: bad trace: cannot read")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"type": "metrics", "snapshot": {}}\nnot json\n', ":2: not JSON"),
+        ('{"type": "metrics", "snapshot": {}}\n[1]\n',
+         ":2: not a JSON object"),
+        ('{"traceEvents": [\n', ": not JSON"),
+        ('{"type": "span", "name": "x"}\n', ": not a trace (KeyError"),
+        ('{"traceEvents": [1]}\n', ": not a trace (AttributeError"),
+    ])
+    def test_undecodable_trace_exits_2(self, tmp_path, capsys, text,
+                                       message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text)
+        assert main(["telemetry", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: bad trace: {path}{message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestServerCli:
     def test_unwritable_cache_dir_exits_2(self, tmp_path, capsys):
         occupied = tmp_path / "occupied"

@@ -119,12 +119,9 @@ def normalized(argv: list[str]) -> list[str]:
 
 def reset_process_state() -> None:
     """Undo everything a CLI command can leave behind process-wide."""
-    from repro.runtime.executor import clear_kernel_cache, set_default_backend
-    from repro.service import reset_default_service
+    from repro.runtime.executor import clear_kernel_cache
     from repro.telemetry import reset_registry, reset_tracer
 
-    reset_default_service()
-    set_default_backend("scalar")
     clear_kernel_cache()
     reset_tracer()
     reset_registry()

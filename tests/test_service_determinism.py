@@ -88,10 +88,13 @@ class TestSerialVsParallel:
 
 class TestExperimentRows:
     def test_fig4_rows_identical_across_runs(self):
-        """fig4 shares the process-default service: a re-run is fully
-        cache-hit and must produce identical rows."""
-        first = ALL_EXPERIMENTS["fig4"]()
-        second = ALL_EXPERIMENTS["fig4"]()
+        """fig4 run twice on one service: the re-run is fully cache-hit
+        (no new compiles) and must produce identical rows."""
+        service = CompileService()
+        first = ALL_EXPERIMENTS["fig4"](service)
+        compiles = service.metrics.compiles
+        second = ALL_EXPERIMENTS["fig4"](service)
+        assert service.metrics.compiles == compiles
         assert first.rows == second.rows
         assert first.rendered == second.rendered
         assert [c.passed for c in first.claims] == [

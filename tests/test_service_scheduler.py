@@ -11,8 +11,6 @@ from repro.service import (
     CompileRequest,
     CompileService,
     JobError,
-    get_default_service,
-    reset_default_service,
 )
 
 SOURCE = """
@@ -107,6 +105,11 @@ class TestBatch:
 
 
 class TestPool:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            CompileService(jobs=jobs)
+
     def test_inflight_dedup_shares_one_future(self, module):
         release = threading.Event()
         started = threading.Event()
@@ -134,14 +137,7 @@ class TestPool:
         assert service._pool is None
 
 
-class TestDefaultService:
-    def test_singleton(self):
-        reset_default_service()
-        try:
-            assert get_default_service() is get_default_service()
-        finally:
-            reset_default_service()
-
+class TestReportLines:
     def test_report_lines_include_cache_section(self, module):
         service = CompileService(cache=ArtifactCache(max_entries=8))
         service.compile(module, "caps", "cuda")
