@@ -227,17 +227,6 @@ def _pair_has_carried_dependence(
     return "possible aliasing: symbolic offset between subscripts"
 
 
-def _format_form(form: LinearForm) -> str:
-    parts = []
-    for mono, coeff in sorted(form.items()):
-        name = "*".join(mono) if mono else ""
-        if name:
-            parts.append(f"{coeff}*{name}" if coeff != 1 else name)
-        else:
-            parts.append(str(coeff))
-    return " + ".join(parts) if parts else "0"
-
-
 def _scalar_reduction_candidates(loop: For) -> tuple[list[ReductionInfo], list[str]]:
     """Classify scalar assignments in the loop body.
 

@@ -145,21 +145,29 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """argparse type for a count or size flag: a value below *minimum*
-    is a usage error (exit 2), as is a non-integer."""
-    expected = {0: "a non-negative integer", 1: "a positive integer"}.get(
-        minimum, f"an integer >= {minimum}")
+def _int_at_least(minimum: int, at_most: int | None = None):
+    """argparse type for a count, size or port flag: a value below
+    *minimum* (or above *at_most*) is a usage error (exit 2), as is a
+    non-integer."""
+    if at_most is not None:
+        expected = f"an integer in {minimum}..{at_most}"
+    else:
+        expected = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}")
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < minimum:
+        if value < minimum or (at_most is not None and value > at_most):
             raise argparse.ArgumentTypeError(
                 f"expected {expected}, got {text!r}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value: ..."
     return parse
+
+
+#: a TCP port; 0 asks the OS for an ephemeral one
+_PORT = _int_at_least(0, at_most=65535)
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
@@ -495,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--faults", default=None, metavar="SPEC",
             help="inject deterministic tool-chain faults, e.g. "
                  "'transient:p=0.3,seed=11' or "
-                 "'transient:p=0.2;slow:p=0.1,s=0.05;cache:p=0.05' "
+                 "'persistent:p=0.02;transient:p=0.2;cache:p=0.05' "
                  "(docs/FAULTS.md); implies 3 retries unless --retries "
                  "says otherwise",
         )
@@ -648,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
              "control (docs/SERVER.md)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7453,
+    p.add_argument("--port", type=_PORT, default=7453,
                    help="TCP port (0 picks an ephemeral one; default 7453)")
     p.add_argument("--shards", type=int, default=16, metavar="N",
                    help="artifact-store shards, each with its own lock "
@@ -681,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="talk to a running repro serve daemon (docs/SERVER.md)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7453)
+    p.add_argument("--port", type=_PORT, default=7453)
     p.add_argument("--id", default="cli", metavar="NAME",
                    help="client id for quotas and trace lanes (default cli)")
     p.add_argument("--spawn", action="store_true",
@@ -783,6 +791,12 @@ def _run(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return _cli_errors(args.func)(args)
+    try:
+        # fail before the run rather than losing it at write_trace
+        open(trace_path, "a").close()
+    except OSError as exc:
+        print(f"repro: bad --trace: {exc}", file=sys.stderr)
+        return 2
 
     from .telemetry import (
         configure_tracer,

@@ -28,7 +28,6 @@ from ..analysis.patterns import (
 )
 from ..ir.stmt import For, KernelFunction
 from ..perf.model import LaunchConfig, WorkProfile
-from ..ptx.codegen import ParallelMapping
 from ..ptx.isa import PtxKernel
 from ..runtime.executor import ExecMode, LoopSemantics
 
@@ -208,12 +207,6 @@ class CompiledKernel:
             working_set_bytes=working_set_bytes,
             vectorizable_fraction=vectorizable,
         )
-
-    def ptx_mapping(self) -> ParallelMapping:
-        dims: dict[int, int] = {}
-        for dim, loop_id in enumerate(reversed(self.parallel_loop_ids)):
-            dims[loop_id] = dim  # innermost loop -> x
-        return ParallelMapping(dims=dims)
 
 
 @dataclass

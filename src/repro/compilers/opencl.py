@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.stmt import KernelFunction, Module
+from ..ir.stmt import KernelFunction
 from ..passes import PassContext, pipeline_for
 from ..ptx.codegen import CodegenStyle, ParallelMapping, generate_ptx, stage_shared_ptx
 from .framework import (
@@ -69,9 +69,6 @@ class OpenCLProgram:
 
     name: str
     specs: list[OpenCLKernelSpec] = field(default_factory=list)
-
-    def as_module(self) -> Module:
-        return Module(self.name, [spec.kernel for spec in self.specs])
 
 
 def _distribution_for(spec: OpenCLKernelSpec) -> ThreadDistribution:

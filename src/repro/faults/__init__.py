@@ -6,25 +6,22 @@ target-specific refusals).  This package injects exactly that fragility
 into the simulated tool-chain — seeded, counter-hashed, byte-for-byte
 reproducible — so the compile service's resilience machinery (retry
 with backoff, see :mod:`repro.service.resilience`, and flaky-cache
-absorption) has something real to survive:
+absorption) has something real to survive.
 
-* :mod:`.plan` — :class:`FaultPlan`: seeded fault decisions keyed on
-  (site, fingerprint, attempt) via SHA-256 counter hashing; the
-  ``--faults`` spec grammar (:func:`parse_fault_spec`);
-* :mod:`.adapter` — :class:`FaultyCompilerAdapter` /
-  :class:`FaultyCacheAdapter`: the injection seams at the compiler and
-  cache boundaries (the compiler models themselves stay pure).
+:mod:`.plan` holds :class:`FaultPlan`: seeded fault decisions keyed on
+(site, fingerprint, attempt) via SHA-256 counter hashing, and the
+``--faults`` spec grammar (:func:`parse_fault_spec`).  The compile
+service reads its plan before each compile attempt and each cache
+access; the compiler models themselves stay pure.
 
 See ``docs/FAULTS.md`` for the architecture and the determinism
 contract.
 """
 
-from .adapter import FaultyCacheAdapter, FaultyCompilerAdapter
 from .plan import (
     FaultPlan,
     FaultRule,
     FaultSpecError,
-    FlakyIOError,
     InjectedFault,
     PersistentCompileFault,
     TransientCompileFault,
@@ -37,9 +34,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultSpecError",
-    "FaultyCacheAdapter",
-    "FaultyCompilerAdapter",
-    "FlakyIOError",
     "InjectedFault",
     "PersistentCompileFault",
     "TransientCompileFault",

@@ -10,10 +10,10 @@ without *injected* failures.
 
 ``FaultPlan`` is that injector, built on one rule: **no global random
 state**.  Every decision is a pure function of the plan seed, an
-injection *site* (``compile``, ``compile.slow``, ``cache.read``,
-``cache.write``, ``compile.persistent``), the request **fingerprint**,
-and an **attempt counter** — a counter-based SHA-256 hash, exactly like
-the service's content addresses.  Two sweeps with the same seed and the
+injection *site* (``compile``, ``compile.persistent``, ``cache.read``,
+``cache.write``), the request **fingerprint**, and an **attempt
+counter** — a counter-based SHA-256 hash, exactly like the service's
+content addresses.  Two sweeps with the same seed and the
 same fingerprints see the same faults in the same places, regardless of
 thread interleaving, ``--jobs``, warm caches, or reruns — which is what
 lets the determinism contract ("same seed + same fault plan => byte
@@ -29,13 +29,14 @@ Fault kinds (see :func:`parse_fault_spec` for the CLI grammar):
     a *fingerprint* is broken with probability *p* — every attempt
     fails, modeling the CAPS bug list (a kernel the compiler cannot
     build today will not build on retry either).
-``slow``
-    a compile attempt is inflated by ``s`` seconds with probability *p*
-    (latency injection: slept on the service's clock and counted in
-    its compile time).
 ``cache-read`` / ``cache-write`` (or ``cache`` for both)
-    an :class:`~repro.service.cache.ArtifactCache` access raises a
-    flaky I/O error, keyed on the per-fingerprint access counter.
+    an :class:`~repro.service.cache.ArtifactCache` access flakes, keyed
+    on the per-fingerprint access counter: the service reads a flaky
+    read as a miss and a flaky write as a skipped store.
+
+The :class:`~repro.service.CompileService` asks its plan directly:
+:meth:`FaultPlan.compile_fault` before each compile attempt and
+:meth:`FaultPlan.cache_fault` before each cache access.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "InjectedFault",
     "TransientCompileFault",
     "PersistentCompileFault",
-    "FlakyIOError",
     "FaultRule",
     "FaultPlan",
     "parse_fault_spec",
@@ -74,13 +74,6 @@ class InjectedFault(Exception):
 
     transient: bool = False
 
-    def __init__(self, message: str, site: str = "", fingerprint: str = "",
-                 attempt: int = 0) -> None:
-        super().__init__(message)
-        self.site = site
-        self.fingerprint = fingerprint
-        self.attempt = attempt
-
 
 class TransientCompileFault(InjectedFault):
     """A one-attempt compiler crash (heals on retry by definition of the
@@ -96,13 +89,6 @@ class PersistentCompileFault(InjectedFault):
     transient = False
 
 
-class FlakyIOError(InjectedFault, OSError):
-    """An injected ArtifactCache read/write failure (transient: the
-    service degrades the access to a miss / skipped store)."""
-
-    transient = True
-
-
 def is_injected_fault(exc: BaseException) -> bool:
     return isinstance(exc, InjectedFault)
 
@@ -113,18 +99,15 @@ def is_transient(exc: BaseException) -> bool:
     return bool(getattr(exc, "transient", False))
 
 
-_KINDS = ("transient", "persistent", "slow", "cache", "cache-read",
-          "cache-write")
+_KINDS = ("transient", "persistent", "cache", "cache-read", "cache-write")
 
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One clause of a fault plan: a kind, a probability, parameters."""
+    """One clause of a fault plan: a kind and a probability."""
 
     kind: str
     probability: float
-    #: modeled latency added by a firing ``slow`` rule
-    seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -135,8 +118,6 @@ class FaultRule:
             raise FaultSpecError(
                 f"fault probability must be in [0, 1], got {self.probability}"
             )
-        if self.seconds < 0:
-            raise FaultSpecError("slow-fault seconds must be >= 0")
 
 
 def _hash01(seed: int, site: str, key: str, attempt: int) -> float:
@@ -150,8 +131,8 @@ def _hash01(seed: int, site: str, key: str, attempt: int) -> float:
 
 @dataclass
 class FaultPlan:
-    """A seeded set of :class:`FaultRule` clauses plus the per-site
-    access counters for cache faults.
+    """A seeded set of :class:`FaultRule` clauses, at most one per kind,
+    plus the per-site access counters for cache faults.
 
     The only mutable state is the cache-access counter map (how many
     times each fingerprint has been read/written), which is itself
@@ -166,12 +147,14 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
+        self._by_kind: dict[str, FaultRule] = {}
+        for r in self.rules:
+            if r.kind in self._by_kind:
+                raise FaultSpecError(f"fault kind {r.kind!r} given twice")
+            self._by_kind[r.kind] = r
 
     def rule(self, kind: str) -> FaultRule | None:
-        for r in self.rules:
-            if r.kind == kind:
-                return r
-        return None
+        return self._by_kind.get(kind)
 
     # -- decisions -------------------------------------------------------------
 
@@ -188,9 +171,7 @@ class FaultPlan:
         ) < persistent.probability:
             return PersistentCompileFault(
                 f"injected persistent compiler failure "
-                f"(plan seed {self.seed}, fp {fingerprint[:12]})",
-                site="compile.persistent", fingerprint=fingerprint,
-                attempt=attempt,
+                f"(plan seed {self.seed}, fp {fingerprint[:12]})"
             )
         transient = self.rule("transient")
         if transient is not None and _hash01(
@@ -198,22 +179,12 @@ class FaultPlan:
         ) < transient.probability:
             return TransientCompileFault(
                 f"injected transient compiler crash "
-                f"(plan seed {self.seed}, attempt {attempt})",
-                site="compile", fingerprint=fingerprint, attempt=attempt,
+                f"(plan seed {self.seed}, attempt {attempt})"
             )
         return None
 
-    def slow_penalty_s(self, fingerprint: str, attempt: int) -> float:
-        """Modeled extra latency for one compile attempt (0.0 = none)."""
-        slow = self.rule("slow")
-        if slow is not None and _hash01(
-            self.seed, "compile.slow", fingerprint, attempt
-        ) < slow.probability:
-            return slow.seconds
-        return 0.0
-
-    def cache_fault(self, op: str, fingerprint: str) -> FlakyIOError | None:
-        """The injected I/O error (if any) for one cache access.
+    def cache_fault(self, op: str, fingerprint: str) -> bool:
+        """Whether one cache access flakes.
 
         ``op`` is ``"read"`` or ``"write"``; the attempt dimension is a
         per-``(op, fingerprint)`` access counter, so the *n*-th read of a
@@ -221,33 +192,18 @@ class FaultPlan:
         """
         rule = self.rule(f"cache-{op}") or self.rule("cache")
         if rule is None:
-            return None
+            return False
         counter_key = f"{op}|{fingerprint}"
         with self._lock:
             access = self._counters.get(counter_key, 0)
             self._counters[counter_key] = access + 1
-        if _hash01(self.seed, f"cache.{op}", fingerprint,
-                   access) < rule.probability:
-            return FlakyIOError(
-                f"injected flaky cache {op} (access {access})",
-                site=f"cache.{op}", fingerprint=fingerprint, attempt=access,
-            )
-        return None
+        return _hash01(self.seed, f"cache.{op}", fingerprint,
+                       access) < rule.probability
 
     # -- views -----------------------------------------------------------------
 
-    def reset_counters(self) -> None:
-        """Zero the cache-access counters (a fresh run of the same
-        workload replays identical cache faults)."""
-        with self._lock:
-            self._counters.clear()
-
     def describe(self) -> str:
-        clauses = ",".join(
-            f"{r.kind}:p={r.probability:g}"
-            + (f",s={r.seconds:g}" if r.kind == "slow" else "")
-            for r in self.rules
-        )
+        clauses = ",".join(f"{r.kind}:p={r.probability:g}" for r in self.rules)
         return f"seed={self.seed} {clauses or '<empty>'}"
 
 
@@ -258,12 +214,13 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     ``kind:key=value[,key=value...]``::
 
         transient:p=0.3,seed=7
-        transient:p=0.2;slow:p=0.1,s=0.05;cache:p=0.05
+        transient:p=0.2;cache:p=0.05
         persistent:p=0.02;transient:p=0.25
 
-    Keys: ``p`` (probability, required), ``s``/``seconds`` (slow-fault
-    modeled latency), ``seed`` (plan seed; may appear in any clause,
-    last one wins, default 0).
+    Keys: ``p`` (probability, required) and ``seed`` (plan seed; may
+    appear in any clause, last one wins, default 0).  A kind given
+    twice, or a key given twice in one clause, is a
+    :class:`FaultSpecError`.
     """
     rules: list[FaultRule] = []
     seed = 0
@@ -285,7 +242,12 @@ def parse_fault_spec(spec: str) -> FaultPlan:
                         f"bad fault parameter {pair!r} in {clause!r} "
                         "(expected key=value)"
                     )
-                params[key.strip().lower()] = value.strip()
+                key = key.strip().lower()
+                if key in params:
+                    raise FaultSpecError(
+                        f"fault parameter {key!r} given twice in {clause!r}"
+                    )
+                params[key] = value.strip()
         if "seed" in params:
             try:
                 seed = int(params.pop("seed"))
@@ -299,18 +261,11 @@ def parse_fault_spec(spec: str) -> FaultPlan:
             ) from None
         except ValueError as exc:
             raise FaultSpecError(f"bad probability in {clause!r}") from exc
-        seconds = 0.05
-        if "s" in params or "seconds" in params:
-            try:
-                seconds = float(params.pop("s", params.pop("seconds", "")))
-            except ValueError as exc:
-                raise FaultSpecError(f"bad seconds in {clause!r}") from exc
-            params.pop("seconds", None)
         if params:
             raise FaultSpecError(
                 f"unknown fault parameter(s) {sorted(params)} in {clause!r}"
             )
-        rules.append(FaultRule(kind, probability, seconds))
+        rules.append(FaultRule(kind, probability))
     if not rules:
         raise FaultSpecError(f"no fault clauses in {spec!r}")
     return FaultPlan(seed=seed, rules=tuple(rules))

@@ -14,16 +14,12 @@ Passes communicate *forward* through it:
   verifier attributes failures to ``provenance[-1]``.
 * ``invalidated`` — verifier checks disabled by earlier passes' declared
   ``invalidates`` metadata.
-* ``fault_hook`` — optional callable invoked with the pass name at every
-  pass boundary; the fault-injection layer (``repro.faults``) uses it to
-  land deterministic transient faults *between* passes, where the
-  verifier guarantees a consistent IR state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 
 @dataclass
@@ -38,7 +34,6 @@ class PassContext:
     state: dict[str, Any] = field(default_factory=dict)
     provenance: list[str] = field(default_factory=list)
     invalidated: set[str] = field(default_factory=set)
-    fault_hook: Callable[[str], None] | None = None
 
     def option(self, name: str, default: Any = None) -> Any:
         """A caller-supplied option, or *default*."""

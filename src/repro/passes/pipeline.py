@@ -75,8 +75,6 @@ class Pipeline:
                     f"{sorted(blocked)}, invalidated by an earlier pass "
                     f"(trail: {' -> '.join(ctx.provenance)})"
                 )
-            if ctx.fault_hook is not None:
-                ctx.fault_hook(info.name)
             with tracer.span(info.name, category="pass", kernel=work.name,
                              pipeline=self.name):
                 try:

@@ -18,13 +18,15 @@ through :attr:`CompileService.metrics`), and (when ``jobs > 1``) a
   bytes as stored, with no request, no pool hop and no copy.
 
 Resilience (docs/FAULTS.md): the service survives the compiler
-fragility the paper documents — injected via :mod:`repro.faults` —
-with retry, off by default and deterministic: transient failures are
-re-attempted up to ``retries`` times with exponential backoff and
-counter-hashed jitter (:func:`~repro.service.resilience.backoff_s`),
-slept on an injectable :class:`~repro.service.resilience.Clock` (tests
-use ``SimClock``; ``time.sleep`` never runs under test).  A flaky cache
-read or write degrades to a miss or a skipped store.  A point that
+fragility the paper documents — injected by the
+:class:`~repro.faults.FaultPlan` it reads before each compile attempt
+and each cache access — with retry, off by default and deterministic:
+transient failures are re-attempted up to ``retries`` times with
+exponential backoff and counter-hashed jitter
+(:func:`~repro.service.resilience.backoff_s`), slept on an injectable
+:class:`~repro.service.resilience.Clock` (tests use ``SimClock``;
+``time.sleep`` never runs under test).  A flaky cache read is a
+counted miss and a flaky write a counted skipped store.  A point that
 still fails is a ``JobError`` in its slot, never a substitute compile.
 
 A killed sweep resumes by running it again on the same cache
@@ -49,7 +51,6 @@ from typing import Any, Callable, Iterable
 
 from ..compilers.flags import FlagSet
 from ..devices.specs import DeviceSpec
-from ..faults.adapter import FaultyCacheAdapter, FaultyCompilerAdapter
 from ..faults.plan import FaultPlan, is_injected_fault, is_transient
 from ..ir.stmt import Module
 from ..telemetry.registry import CounterView, MetricsRegistry
@@ -168,8 +169,8 @@ class CompileService:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.cache: Any = (cache if cache is not None
-                           else ArtifactCache(registry=self.registry))
+        self.cache = (cache if cache is not None
+                      else ArtifactCache(registry=self.registry))
         self.metrics = ServiceCounters(self.registry)
         self._count = {field: self.registry.counter(name)
                        for field, name in ServiceCounters.FIELDS.items()}
@@ -183,12 +184,6 @@ class CompileService:
         self.fault_plan = fault_plan
         self.clock = clock if clock is not None else SystemClock()
         self._compile_fn = compile_fn or _default_compile_fn
-        self._adapter: FaultyCompilerAdapter | None = None
-        if fault_plan is not None:
-            self._adapter = FaultyCompilerAdapter(
-                self._compile_fn, fault_plan, clock=self.clock
-            )
-            self.cache = FaultyCacheAdapter(self.cache, fault_plan)
         self._pool: ThreadPoolExecutor | None = None
         self._flights = SingleFlight()
 
@@ -231,9 +226,7 @@ class CompileService:
             while True:
                 start = time.perf_counter()
                 try:
-                    artifact, penalty_s = self._invoke_compile(
-                        request, attempt
-                    )
+                    artifact = self._invoke_compile(request, attempt)
                 except Exception as exc:
                     seconds = time.perf_counter() - start
                     injected = is_injected_fault(exc)
@@ -259,18 +252,21 @@ class CompileService:
                     self._record_compile(fingerprint, seconds, failed=True)
                     span.set(attempts=attempt + 1)
                     raise
-                seconds = time.perf_counter() - start + penalty_s
+                seconds = time.perf_counter() - start
                 self._cache_put(fingerprint, artifact)
                 self._record_compile(fingerprint, seconds)
                 if attempt:
                     span.set(attempts=attempt + 1)
                 return artifact
 
-    def _invoke_compile(self, request: CompileRequest,
-                        attempt: int) -> tuple[Any, float]:
-        if self._adapter is not None:
-            return self._adapter.compile(request, attempt)
-        return self._compile_fn(request), 0.0
+    def _invoke_compile(self, request: CompileRequest, attempt: int) -> Any:
+        """One compile attempt; the plan's injected fault, if any, is
+        raised before the compiler model runs."""
+        if self.fault_plan is not None:
+            fault = self.fault_plan.compile_fault(request.fingerprint, attempt)
+            if fault is not None:
+                raise fault
+        return self._compile_fn(request)
 
     def lookup(self, fingerprint: str, label: str = "") -> Any:
         """The hit read of the ``repro serve`` daemon, which answers a
@@ -299,30 +295,27 @@ class CompileService:
                                 str(pickle.loads(stored.blob).error))
             return stored.blob
 
-    # -- fault-tolerant cache access -------------------------------------------
+    # -- fault-injected cache access -------------------------------------------
 
     def _cache_get(self, fingerprint: str, peek: bool = False) -> Any:
-        """A flaky cache read degrades to a miss (counted, traced).
-        With *peek*, the stored entry (see :meth:`ArtifactCache.peek`)."""
-        try:
-            if peek:
-                return self.cache.peek(fingerprint)
-            return self.cache.get(fingerprint)
-        except Exception as exc:
-            if not is_injected_fault(exc):
-                raise
+        """A read the plan flakes is a counted miss.  With *peek*, the
+        stored entry (see :meth:`ArtifactCache.peek`)."""
+        plan = self.fault_plan
+        if plan is not None and plan.cache_fault("read", fingerprint):
             self._record_fault(cache_io=True)
             return MISS
+        if peek:
+            return self.cache.peek(fingerprint)
+        return self.cache.get(fingerprint)
 
     def _cache_put(self, fingerprint: str, artifact: Any) -> None:
-        """A flaky cache write degrades to a skipped store (the next
+        """A write the plan flakes is a counted skipped store (the next
         identical request simply recompiles)."""
-        try:
-            self.cache.put(fingerprint, artifact)
-        except Exception as exc:
-            if not is_injected_fault(exc):
-                raise
+        plan = self.fault_plan
+        if plan is not None and plan.cache_fault("write", fingerprint):
             self._record_fault(cache_io=True)
+            return
+        self.cache.put(fingerprint, artifact)
 
     # -- counting --------------------------------------------------------------
 

@@ -141,6 +141,52 @@ class TestResilienceFlags:
                      "--faults", "warp-drive:p=0.5"]) == 2
         assert "bad --faults spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        "slow:p=0.1", "transient:p=0.0;transient:p=1.0",
+        "transient:p=0.3,p=0.5",
+    ])
+    def test_dropped_or_removed_clause_exits_2(self, spec, capsys):
+        assert main(["heatmap", "--size", "64", "--faults", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: bad --faults spec:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_faulted_heatmap_numbers_are_pinned(self, jobs, tmp_path,
+                                                capsys):
+        """Fault decisions are counter hashes of (seed, fingerprint,
+        attempt): the same plan injects the same faults, cold and warm,
+        at any --jobs."""
+        import hashlib
+
+        from repro.telemetry import reset_registry
+
+        argv = ["heatmap", "--size", "256", "--jobs", jobs,
+                "--faults", "transient:p=0.3,seed=11;cache:p=0.1",
+                "--retries", "3", "--cache-dir", str(tmp_path)]
+        expected = [
+            ("requests 72: 0 cache hits, 0 dedup hits, 72 compiles "
+             "(0 errors)",
+             "resilience: 42 faults injected (13 cache I/O), 29 retries",
+             "cache: 0 memory hits, 0 disk hits, 66 misses, 0 evictions "
+             "(65 resident entries)"),
+            ("requests 72: 60 cache hits, 0 dedup hits, 12 compiles "
+             "(0 errors)",
+             "resilience: 20 faults injected (13 cache I/O), 7 retries",
+             "cache: 0 memory hits, 60 disk hits, 6 misses, 0 evictions "
+             "(65 resident entries)"),
+        ]
+        for counts in expected:
+            reset_registry()
+            assert main(argv) == 0
+            grid, stats = capsys.readouterr().out.split(
+                "-- compile service --")
+            assert hashlib.sha256(grid.encode()).hexdigest().startswith(
+                "8990cde9ba58dfe4")
+            lines = stats.strip().splitlines()
+            assert (lines[0], lines[2], lines[3]) == counts
+        reset_registry()
+
     def test_negative_retries_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["heatmap", "--size", "256", "--retries", "-1"])
@@ -170,8 +216,9 @@ class TestResilienceFlags:
 
 
 class TestFlagBounds:
-    """Count and size flags reject a value below their minimum as a
-    usage error (exit 2) before the command runs."""
+    """Count and size flags reject a value below their minimum, and
+    --port one outside 0..65535, as a usage error (exit 2) before the
+    command runs."""
 
     @pytest.mark.parametrize("argv", [
         ["heatmap", "--jobs", "0"],
@@ -201,12 +248,27 @@ class TestFlagBounds:
         assert "expected a" in err and "integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "-1"],
+        ["serve", "--port", "70000"],
+        ["client", "--port", "65536", "status"],
+        ["client", "--port", "-1", "status"],
+    ])
+    def test_port_out_of_range_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --port: expected an integer in 0..65535" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv, dest, value", [
         (["exec-sweep", "--size", "2"], "size", 2),
         (["heatmap", "--jobs", "1"], "jobs", 1),
         (["heatmap", "--retries", "0"], "retries", 0),
         (["difftest", "--start", "0"], "start", 0),
         (["serve", "--port", "0"], "port", 0),
+        (["client", "--port", "65535", "status"], "port", 65535),
     ])
     def test_minimum_is_accepted(self, argv, dest, value):
         assert getattr(build_parser().parse_args(argv), dest) == value
@@ -229,6 +291,16 @@ class TestExecBackendScope:
 
 
 class TestTelemetryCli:
+    def test_trace_into_missing_directory_exits_2_before_running(
+            self, tmp_path, capsys):
+        path = tmp_path / "absent" / "t.jsonl"
+        assert main(["heatmap", "--size", "64", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the sweep never ran
+        assert captured.err.startswith("repro: bad --trace:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert main(["telemetry", str(tmp_path / "absent.jsonl")]) == 2
         err = capsys.readouterr().err

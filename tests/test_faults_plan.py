@@ -1,4 +1,5 @@
-"""repro.faults: deterministic fault plans, spec parsing, adapters."""
+"""repro.faults: deterministic fault plans, spec parsing, and the
+compile service reading its plan."""
 
 import pytest
 
@@ -6,16 +7,16 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     FaultSpecError,
-    FaultyCacheAdapter,
-    FaultyCompilerAdapter,
-    FlakyIOError,
     PersistentCompileFault,
     TransientCompileFault,
     is_injected_fault,
     is_transient,
     parse_fault_spec,
 )
-from repro.service.cache import MISS, ArtifactCache
+from repro.frontend import parse_module
+from repro.service import CompileService
+from repro.service.fingerprint import CompileRequest
+from repro.service.resilience import SimClock
 
 FP = "a" * 64
 FP2 = "b" * 64
@@ -59,28 +60,33 @@ class TestFaultPlan:
                 for k in range(8)
             )
 
-    def test_slow_penalty_seconds(self):
-        plan = FaultPlan(seed=5, rules=(FaultRule("slow", 1.0, seconds=0.25),))
-        assert plan.slow_penalty_s(FP, 0) == 0.25
-        assert FaultPlan(seed=5).slow_penalty_s(FP, 0) == 0.0
-
     def test_cache_fault_counter_advances(self):
-        plan = FaultPlan(seed=9, rules=(FaultRule("cache", 0.5),))
-        first = [plan.cache_fault("read", FP) is not None for _ in range(32)]
-        plan.reset_counters()
-        second = [plan.cache_fault("read", FP) is not None for _ in range(32)]
-        assert first == second  # counter-based: replayable after reset
+        rules = (FaultRule("cache", 0.5),)
+        first_plan = FaultPlan(seed=9, rules=rules)
+        first = [first_plan.cache_fault("read", FP) for _ in range(32)]
+        second_plan = FaultPlan(seed=9, rules=rules)
+        second = [second_plan.cache_fault("read", FP) for _ in range(32)]
+        assert first == second  # counter-based: a fresh plan replays
         assert any(first) and not all(first)
+
+    def test_specific_cache_rule_beats_cache(self):
+        plan = FaultPlan(seed=0, rules=(FaultRule("cache", 0.0),
+                                        FaultRule("cache-write", 1.0)))
+        assert plan.cache_fault("write", FP)
+        assert not plan.cache_fault("read", FP)
+
+    def test_duplicate_kind_rejected(self):
+        with pytest.raises(FaultSpecError, match="'transient' given twice"):
+            FaultPlan(rules=(FaultRule("transient", 0.0),
+                             FaultRule("transient", 1.0)))
 
     def test_transient_flags(self):
         t = TransientCompileFault("x")
         p = PersistentCompileFault("x")
-        io = FlakyIOError("x")
         assert is_injected_fault(t) and is_injected_fault(p)
-        assert is_transient(t) and is_transient(io)
+        assert is_transient(t)
         assert not is_transient(p)
         assert not is_injected_fault(ValueError("x"))
-        assert isinstance(io, OSError)
 
     def test_bad_rule_kind_and_probability(self):
         with pytest.raises(FaultSpecError):
@@ -97,62 +103,70 @@ class TestParseFaultSpec:
 
     def test_multi_clause(self):
         plan = parse_fault_spec(
-            "transient:p=0.2;slow:p=0.1,s=0.05;cache:p=0.05"
+            "transient:p=0.2;persistent:p=0.1;cache:p=0.05;cache-read:p=1"
         )
-        assert [r.kind for r in plan.rules] == ["transient", "slow", "cache"]
-        assert plan.rule("slow").seconds == 0.05
-
-    def test_seconds_alias(self):
-        plan = parse_fault_spec("slow:p=1,seconds=0.2")
-        assert plan.rule("slow").seconds == 0.2
+        assert [r.kind for r in plan.rules] == [
+            "transient", "persistent", "cache", "cache-read"]
+        assert plan.rule("cache-read").probability == 1.0
 
     @pytest.mark.parametrize("bad", [
         "", "transient", "transient:q=0.3", "transient:p=oops",
         "transient:p=0.3,seed=x", "warp-drive:p=0.5",
-        "transient:p=0.3,unknown=1",
+        "transient:p=0.3,unknown=1", "slow:p=0.1",
+        # a repeated kind or key would silently drop one of them
+        "transient:p=0.0;transient:p=1.0", "transient:p=0.3,p=0.5",
+        "cache:p=0.1,seed=1,seed=2",
     ])
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(FaultSpecError):
             parse_fault_spec(bad)
 
     def test_describe_round_trips_the_shape(self):
-        plan = parse_fault_spec("transient:p=0.3,seed=7;slow:p=0.1,s=0.05")
-        assert "seed=7" in plan.describe()
-        assert "transient:p=0.3" in plan.describe()
-        assert "s=0.05" in plan.describe()
+        plan = parse_fault_spec("transient:p=0.3,seed=7;cache:p=0.05")
+        assert plan.describe() == "seed=7 transient:p=0.3,cache:p=0.05"
 
 
-class _Request:
-    def __init__(self, fingerprint):
-        self.fingerprint = fingerprint
+def _counting_service(plan, calls):
+    def compile_fn(request):
+        calls.append(request.fingerprint)
+        return f"artifact:{request.fingerprint[:4]}"
+
+    return CompileService(compile_fn=compile_fn, fault_plan=plan,
+                          clock=SimClock())
 
 
-class TestAdapters:
-    def test_compiler_adapter_transparent_without_rules(self):
-        adapter = FaultyCompilerAdapter(
-            lambda request: f"artifact:{request.fingerprint[:4]}",
-            FaultPlan(seed=0),
+class TestServiceReadsPlan:
+    """The service asks its plan before each compile attempt and each
+    cache access; the write-rule case is in test_service_resilience's
+    TestFlakyCache."""
+
+    def _request(self):
+        module = parse_module(
+            "void k(float *a, int n) { int i;\n"
+            "#pragma acc loop independent\n"
+            "for (i = 0; i < n; i++) { a[i] = 1.0f; } }"
         )
-        artifact, penalty = adapter.compile(_Request(FP), attempt=0)
-        assert artifact == "artifact:aaaa"
-        assert penalty == 0.0
+        return CompileRequest(module, "pgi", "cuda")
 
-    def test_compiler_adapter_raises_before_compiling(self):
+    def test_empty_plan_compiles_like_no_plan(self):
+        request = self._request()
+        runs = []
+        for plan in (None, FaultPlan(seed=0)):
+            calls = []
+            service = _counting_service(plan, calls)
+            results = [service.compile_request(request) for _ in range(2)]
+            counters = service.metrics.snapshot()
+            del counters["time_saved_s"]  # wall-clock compile time
+            runs.append((results, calls, counters,
+                         service.cache.stats.snapshot()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [request.fingerprint]  # one compile, one hit
+
+    def test_injected_fault_never_reaches_the_compiler(self):
         calls = []
-        plan = FaultPlan(seed=0, rules=(FaultRule("transient", 1.0),))
-        adapter = FaultyCompilerAdapter(
-            lambda request: calls.append(request), plan
-        )
+        service = _counting_service(
+            FaultPlan(seed=0, rules=(FaultRule("transient", 1.0),)), calls)
         with pytest.raises(TransientCompileFault):
-            adapter.compile(_Request(FP), attempt=0)
-        assert calls == []  # the model itself was never invoked
-
-    def test_cache_adapter_flakes_and_delegates(self):
-        cache = ArtifactCache()
-        plan = FaultPlan(seed=0, rules=(FaultRule("cache-write", 1.0),))
-        adapter = FaultyCacheAdapter(cache, plan)
-        with pytest.raises(FlakyIOError):
-            adapter.put(FP, "artifact")
-        assert len(adapter) == 0
-        assert adapter.get(FP) is MISS  # reads unaffected by a write rule
-        assert adapter.stats.misses == 1  # __getattr__ delegation
+            service.compile_request(self._request())
+        assert calls == []
+        assert service.metrics.faults_injected == 1

@@ -197,10 +197,7 @@ class TestCacheRerun:
         alike."""
         def failing_opencl(request):
             if request.target == "opencl":
-                raise PersistentCompileFault(
-                    "injected", site="compile.persistent",
-                    fingerprint=request.fingerprint,
-                )
+                raise PersistentCompileFault("injected")
             from repro.core.method import compile_stage
 
             return compile_stage(request.module, request.compiler,
