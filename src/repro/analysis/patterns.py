@@ -15,12 +15,19 @@ methodology (section IV-C).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from ..ir.expr import ArrayRef, BinOp, Call, Cast, Expr, Ternary, UnaryOp
 from ..ir.stmt import Assign, Decl, For, If, KernelFunction, Stmt, While
 from ..ir.visitors import writes_and_reads
-from .affine import coefficient_of, constant_value, evaluate, linearize
+from .affine import (
+    LinearForm,
+    coefficient_of,
+    constant_value,
+    evaluate,
+    linearize,
+)
 
 
 class StrideKind(enum.Enum):
@@ -231,20 +238,115 @@ def _count_index(expr: Expr, counts: OpCounts) -> None:
             _count_index(index, counts)
 
 
-def count_ops(stmt: Stmt, loop_env: dict[str, int] | None = None,
-              _seen_loads: set[str] | None = None,
-              divergent: bool = True) -> OpCounts:
-    """Statically count operations for one execution of *stmt*.
+#: ``OpCounts`` fields in declaration order; the lowered program works on
+#: plain tuples in this order and builds one ``OpCounts`` per evaluation
+_FIELDS = tuple(OpCounts.__dataclass_fields__)
+_INT_OPS, _COMPARES, _BRANCHES = (
+    _FIELDS.index(name) for name in ("int_ops", "compares", "branches")
+)
+_ZERO = (0,) * len(_FIELDS)
 
-    Inner ``For`` loops multiply their body counts by the trip count
-    evaluated in *loop_env* (falling back to a representative trip count of
-    16 when the bound cannot be evaluated — documented heuristic).
-    Identical loads within one straight-line region are counted once
-    (register CSE); the set resets at every loop back-edge.
-    """
-    counts = OpCounts()
-    seen = _seen_loads if _seen_loads is not None else set()
-    if isinstance(stmt, (Assign,)):
+
+def _as_tuple(counts: OpCounts) -> tuple[int, ...]:
+    return tuple(getattr(counts, name) for name in _FIELDS)
+
+
+class _Const:
+    """A sub-statement whose counts do not depend on the env."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        self.counts = counts
+
+    def eval(self, env: dict[str, int]) -> tuple[int, ...]:
+        return self.counts
+
+
+class _Seq:
+    """A block with at least one env-dependent child: the static children
+    are summed once, at lowering."""
+
+    __slots__ = ("static", "parts")
+
+    def __init__(self, static: tuple[int, ...], parts: list) -> None:
+        self.static = static
+        self.parts = tuple(parts)
+
+    def eval(self, env: dict[str, int]) -> tuple[int, ...]:
+        total = self.static
+        for part in self.parts:
+            total = tuple(map(operator.add, total, part.eval(env)))
+        return total
+
+
+class _Branch:
+    """An ``If`` with an env-dependent arm; ``static`` holds the branch and
+    the condition's counts."""
+
+    __slots__ = ("static", "then", "otherwise", "weight")
+
+    def __init__(self, static, then, otherwise, weight: float) -> None:
+        self.static = static
+        self.then = then
+        self.otherwise = otherwise
+        self.weight = weight
+
+    def eval(self, env: dict[str, int]) -> tuple[int, ...]:
+        return _merge_branch(self.static, self.then.eval(env),
+                             self.otherwise.eval(env), self.weight)
+
+
+class _Loop:
+    """A ``For``: the only node whose counts depend on the env."""
+
+    __slots__ = ("var", "forms", "body")
+
+    def __init__(self, loop: For, body) -> None:
+        self.var = loop.var
+        self.forms = trip_forms(loop)
+        self.body = body
+
+    def eval(self, env: dict[str, int]) -> tuple[int, ...]:
+        trips = trips_under(self.forms, env)
+        if isinstance(self.body, _Const):
+            body = self.body.counts
+        else:
+            # thread a representative midpoint value for the induction
+            # variable so nested (triangular) bounds resolve: for the j in
+            # [i, n) loops of LUD/GE the midpoint gives the right average
+            # trip count
+            lower, _, step = self.forms
+            try:
+                lo = evaluate(lower, env) if lower is not None else 0
+            except KeyError:
+                lo = 0
+            inner_env = dict(env)
+            inner_env[self.var] = lo + (trips // 2) * step
+            body = self.body.eval(inner_env)
+        counts = [count * trips for count in body]
+        counts[_COMPARES] += trips
+        counts[_INT_OPS] += trips  # induction increment
+        counts[_BRANCHES] += trips
+        return tuple(counts)
+
+
+def _merge_branch(static, then, otherwise, weight: float) -> tuple[int, ...]:
+    # SIMT divergence: a warp with lanes on both sides executes both
+    # paths serially, so both branches are charged in full; a host CPU
+    # (divergent=False) predicts and executes one path — charge the
+    # average
+    return tuple(
+        base + int(weight * (a + b))
+        for base, a, b in zip(static, then, otherwise)
+    )
+
+
+def _lower(stmt: Stmt, seen: set[str], divergent: bool):
+    """Lower *stmt* to a count node; *seen* is the straight-line region's
+    register-CSE set, threaded in execution order."""
+    if isinstance(stmt, Assign):
+        counts = OpCounts()
         if isinstance(stmt.target, ArrayRef):
             counts.stores += 1
             for index in stmt.target.indices:
@@ -255,59 +357,78 @@ def count_ops(stmt: Stmt, loop_env: dict[str, int] | None = None,
         elif stmt.op is not None:
             counts.flops_add += 1
         _count_expr(stmt.value, counts, seen)
-        return counts
+        return _Const(_as_tuple(counts))
     if isinstance(stmt, Decl):
+        counts = OpCounts()
         if stmt.init is not None:
             _count_expr(stmt.init, counts, seen)
-        return counts
+        return _Const(_as_tuple(counts))
     if isinstance(stmt, If):
-        counts.branches += 1
+        counts = OpCounts(branches=1)
         _count_expr(stmt.cond, counts, seen)
-        then_counts = count_ops(stmt.then_body, loop_env, seen, divergent)
-        else_counts = (
-            count_ops(stmt.else_body, loop_env, seen, divergent)
+        then = _lower(stmt.then_body, seen, divergent)
+        otherwise = (
+            _lower(stmt.else_body, seen, divergent)
             if stmt.else_body is not None
-            else OpCounts()
+            else _Const(_ZERO)
         )
-        # SIMT divergence: a warp with lanes on both sides executes both
-        # paths serially, so both branches are charged in full; a host CPU
-        # (divergent=False) predicts and executes one path — charge the
-        # average
         weight = 1.0 if divergent else 0.5
-        for name in counts.__dataclass_fields__:
-            setattr(
-                counts,
-                name,
-                getattr(counts, name)
-                + int(weight * (getattr(then_counts, name)
-                                + getattr(else_counts, name))),
-            )
-        return counts
+        if isinstance(then, _Const) and isinstance(otherwise, _Const):
+            return _Const(_merge_branch(_as_tuple(counts), then.counts,
+                                        otherwise.counts, weight))
+        return _Branch(_as_tuple(counts), then, otherwise, weight)
     if isinstance(stmt, For):
-        trips = trip_count(stmt, loop_env)
-        # thread a representative midpoint value for the induction variable
-        # so nested (triangular) bounds resolve: for the j in [i, n) loops of
-        # LUD/GE the midpoint gives the right average trip count.
-        inner_env = dict(loop_env or {})
-        lower_form = linearize(stmt.lower)
-        try:
-            lo = evaluate(lower_form, inner_env) if lower_form is not None else 0
-        except KeyError:
-            lo = 0
-        inner_env[stmt.var] = lo + (trips // 2) * stmt.step
-        body = count_ops(stmt.body, inner_env, set(), divergent)  # CSE resets per iteration
-        counts.compares += trips
-        counts.int_ops += trips  # induction increment
-        counts.branches += trips
-        for name in body.__dataclass_fields__:
-            setattr(counts, name, getattr(counts, name) + getattr(body, name) * trips)
-        return counts
+        # CSE resets per iteration
+        return _Loop(stmt, _lower(stmt.body, set(), divergent))
     if isinstance(stmt, While):
-        return count_ops(stmt.body, loop_env, set(), divergent)
+        return _lower(stmt.body, set(), divergent)
     # Block and Barrier
+    static = _ZERO
+    parts = []
     for child in stmt.children_stmts():
-        counts = counts + count_ops(child, loop_env, seen, divergent)
-    return counts
+        node = _lower(child, seen, divergent)
+        if isinstance(node, _Const):
+            static = tuple(map(operator.add, static, node.counts))
+        else:
+            parts.append(node)
+    if not parts:
+        return _Const(static)
+    if len(parts) == 1 and static == _ZERO:
+        return parts[0]
+    return _Seq(static, parts)
+
+
+class OpProgram:
+    """:func:`count_ops` over one statement, lowered once.
+
+    Everything but loop trip counts is independent of the env: the
+    register-CSE sets, every expression's counts, and every branch whose
+    arms hold no loop are folded into constants at lowering.  What is left
+    is a small tree over loops (and the blocks and branches around them)
+    that calling the program evaluates under an env.
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self, stmt: Stmt, divergent: bool = True) -> None:
+        self._root = _lower(stmt, set(), divergent)
+
+    def __call__(self, loop_env: dict[str, int] | None = None) -> OpCounts:
+        return OpCounts(*self._root.eval(loop_env or {}))
+
+
+def count_ops(stmt: Stmt, loop_env: dict[str, int] | None = None,
+              divergent: bool = True) -> OpCounts:
+    """Statically count operations for one execution of *stmt*.
+
+    Inner ``For`` loops multiply their body counts by the trip count
+    evaluated in *loop_env* (falling back to a representative trip count of
+    16 when the bound cannot be evaluated — documented heuristic).
+    Identical loads within one straight-line region are counted once
+    (register CSE); the set resets at every loop back-edge.  A caller that
+    counts one statement under many envs keeps the :class:`OpProgram`.
+    """
+    return OpProgram(stmt, divergent)(loop_env)
 
 
 DEFAULT_TRIP = 16
@@ -318,10 +439,22 @@ def trip_count(loop: For, env: dict[str, int] | None = None) -> int:
     bounds involve unknown symbols (a benchmark can override the fallback
     with an ``_default_trip`` entry — e.g. BFS passes its average degree
     for the data-dependent edge loops)."""
-    env = env or {}
+    return trips_under(trip_forms(loop), env or {})
+
+
+#: a loop's linearized lower and upper bounds and its step
+TripForms = tuple[LinearForm | None, LinearForm | None, int]
+
+
+def trip_forms(loop: For) -> TripForms:
+    """The env-independent part of :func:`trip_count`."""
+    return linearize(loop.lower), linearize(loop.upper), loop.step
+
+
+def trips_under(forms: TripForms, env: dict[str, int]) -> int:
+    """:func:`trip_count` of a loop from its :func:`trip_forms`."""
+    lower, upper, step = forms
     fallback = env.get("_default_trip", DEFAULT_TRIP)
-    lower = linearize(loop.lower)
-    upper = linearize(loop.upper)
     if lower is None or upper is None:
         return fallback
     try:
@@ -331,4 +464,4 @@ def trip_count(loop: For, env: dict[str, int] | None = None) -> int:
         return fallback
     if hi <= lo:
         return 0
-    return (hi - lo + loop.step - 1) // loop.step
+    return (hi - lo + step - 1) // step

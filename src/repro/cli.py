@@ -48,6 +48,7 @@ through :mod:`repro.telemetry` (see docs/TELEMETRY.md).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -168,6 +169,19 @@ def _int_at_least(minimum: int, at_most: int | None = None):
 
 #: a TCP port; 0 asks the OS for an ephemeral one
 _PORT = _int_at_least(0, at_most=65535)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a rate or allowance flag: zero, a negative value,
+    ``inf`` or ``nan`` is a usage error (exit 2), as is a non-number."""
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse's "invalid float value: ..."
 
 
 def _resilience_from_args(args: argparse.Namespace) -> dict:
@@ -658,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_PORT, default=7453,
                    help="TCP port (0 picks an ephemeral one; default 7453)")
-    p.add_argument("--shards", type=int, default=16, metavar="N",
+    p.add_argument("--shards", type=_int_at_least(1), default=16,
+                   metavar="N",
                    help="artifact-store shards, each with its own lock "
                         "(default 16)")
     p.add_argument("--peer-dir", action="append", default=None, metavar="PATH",
@@ -668,9 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="admission bound on queued sweep points; beyond it "
                         "requests are rejected with 429 (default 256)")
-    p.add_argument("--quota-rate", type=float, default=64.0, metavar="R",
+    p.add_argument("--quota-rate", type=_positive_float, default=64.0,
+                   metavar="R",
                    help="per-client sustained points/second (default 64)")
-    p.add_argument("--quota-burst", type=float, default=256.0, metavar="B",
+    p.add_argument("--quota-burst", type=_positive_float, default=256.0,
+                   metavar="B",
                    help="per-client burst allowance in points (default 256)")
     p.add_argument("--self-test", action="store_true",
                    help="run the end-to-end smoke (concurrent clients, "

@@ -19,12 +19,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..analysis.patterns import (
     OpCounts,
+    OpProgram,
+    TripForms,
     coalescing_fraction,
-    count_ops,
-    trip_count,
+    trip_forms,
+    trips_under,
 )
 from ..ir.stmt import For, KernelFunction
 from ..perf.model import LaunchConfig, WorkProfile
@@ -146,18 +149,59 @@ class CompiledKernel:
         return self.distribution.strategy is DistStrategy.SEQUENTIAL
 
     # -- performance-model view ---------------------------------------------
+    #
+    # A launch reads IR facts that no env can change: the parallel loops,
+    # their linearized bounds, the element size, the coalescing of the
+    # innermost parallel body and the lowered op-count programs.  Each is
+    # computed on first use and kept on the kernel (never pickled, see
+    # __getstate__).  They are IR facts only: perf.model constants and
+    # device values are read per launch, so overrides never go stale.
 
-    def _parallel_loops(self) -> list[For]:
+    @cached_property
+    def _parallel_loops(self) -> tuple[For, ...]:
         loops = []
         for loop_id in self.parallel_loop_ids:
             try:
                 loops.append(self.ir.find_loop(loop_id))
             except KeyError:
                 pass
-        return loops
+        return tuple(loops)
+
+    @cached_property
+    def _trip_forms(self) -> tuple[TripForms, ...]:
+        return tuple(trip_forms(loop) for loop in self._parallel_loops)
+
+    @cached_property
+    def _elem_bytes(self) -> int:
+        elem_bytes = 4
+        for param in self.ir.array_params:
+            elem_bytes = max(elem_bytes, param.type.size_bytes)  # type: ignore[union-attr]
+        return elem_bytes
+
+    @cached_property
+    def _body_ops(self) -> OpProgram:
+        return OpProgram(self.ir.body)
+
+    @cached_property
+    def _host_ops(self) -> OpProgram:
+        # an out-of-order host core predicts branches: no divergence penalty
+        return OpProgram(self.ir.body, divergent=False)
+
+    @cached_property
+    def _inner_ops(self) -> OpProgram:
+        return OpProgram(self._parallel_loops[-1].body)
+
+    @cached_property
+    def _inner_coalescing(self) -> float:
+        innermost = self._parallel_loops[-1]
+        return coalescing_fraction(innermost.body, innermost.var)
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _LAUNCH_FACTS}
 
     def launch_config(self, env: dict[str, int]) -> LaunchConfig:
-        extents = [trip_count(loop, env) for loop in self._parallel_loops()]
+        extents = [trips_under(forms, env) for forms in self._trip_forms]
         return self.distribution.resolve(extents)
 
     def work_profile(
@@ -166,13 +210,9 @@ class CompiledKernel:
         """Build the analytical workload description for a launch."""
         if self.elided:
             return WorkProfile(items=0, ops=OpCounts(), bytes_per_item=0.0)
-        elem_bytes = 4
-        for param in self.ir.array_params:
-            elem_bytes = max(elem_bytes, param.type.size_bytes)  # type: ignore[union-attr]
-
-        loops = self._parallel_loops()
-        if self.sequential or not loops:
-            ops = count_ops(self.ir.body, env)
+        elem_bytes = self._elem_bytes
+        if self.sequential or not self._parallel_loops:
+            ops = self._body_ops(env)
             bytes_total = (ops.loads + ops.stores) * elem_bytes
             return WorkProfile(
                 items=1,
@@ -184,14 +224,12 @@ class CompiledKernel:
 
         items = 1
         inner_env = dict(env)
-        for loop in loops:
-            extent = trip_count(loop, env)
+        for loop, forms in zip(self._parallel_loops, self._trip_forms):
+            extent = trips_under(forms, env)
             items *= max(extent, 1)
             # representative mid-range value for triangular inner bounds
             inner_env[loop.var] = max(extent // 2, 1)
-        innermost = loops[-1]
-        ops = count_ops(innermost.body, inner_env)
-        coal = coalescing_fraction(innermost.body, innermost.var)
+        ops = self._inner_ops(inner_env)
         bytes_per_item = (ops.loads + ops.stores) * elem_bytes * self.traffic_reuse
         # explicit Gang-mode work-item indexing defeats the Intel OpenCL
         # implicit vectorizer on MIC; compiler-generated (Gridify/auto)
@@ -203,10 +241,17 @@ class CompiledKernel:
             items=items,
             ops=ops,
             bytes_per_item=float(bytes_per_item),
-            coalesced_fraction=coal,
+            coalesced_fraction=self._inner_coalescing,
             working_set_bytes=working_set_bytes,
             vectorizable_fraction=vectorizable,
         )
+
+
+#: the cached launch facts of a :class:`CompiledKernel`
+_LAUNCH_FACTS = frozenset(
+    name for name, value in vars(CompiledKernel).items()
+    if isinstance(value, cached_property)
+)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Expressions are immutable (frozen dataclasses) so they can be shared freely
 between transformed kernels; transformations build new trees instead of
-mutating.  Every node supports ``children()`` for generic traversal and
-structural equality for testing.
+mutating.  So a node may keep facts derived from its tree (:meth:`Expr.uses`)
+for its whole life.  Every node supports ``children()`` for generic traversal
+and structural equality for testing.
 """
 
 from __future__ import annotations
@@ -45,14 +46,47 @@ class Expr:
 
     __slots__ = ()
 
-    def children(self) -> Iterator["Expr"]:
-        return iter(())
+    def children(self) -> tuple["Expr", ...]:
+        return ()
 
     def walk(self) -> Iterator["Expr"]:
         """Yield this node and all descendants, pre-order."""
         yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = list(self.children()[::-1])
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children()
+            if children:
+                stack.extend(children[::-1])
+
+    def uses(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """``(sorted scalar names, array names in pre-order)`` of this tree.
+
+        What the verifier's def-before-use check reads.  One traversal on
+        first call; the result is kept on the node, which is immutable and
+        shared between clones, and left out of its pickled state.
+        """
+        try:
+            return self.__dict__["_uses"]
+        except KeyError:
+            pass
+        scalars: set[str] = set()
+        arrays: list[str] = []
+        for node in self.walk():
+            if isinstance(node, Var):
+                scalars.add(node.name)
+            elif isinstance(node, ArrayRef):
+                arrays.append(node.name)
+        uses = self.__dict__["_uses"] = (tuple(sorted(scalars)), tuple(arrays))
+        return uses
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_uses" in state:
+            state = {key: value for key, value in state.items()
+                     if key != "_uses"}
+        return state
 
 
 @dataclass(frozen=True)
@@ -93,8 +127,8 @@ class ArrayRef(Expr):
     name: str
     indices: tuple[Expr, ...]
 
-    def children(self) -> Iterator[Expr]:
-        return iter(self.indices)
+    def children(self) -> tuple[Expr, ...]:
+        return self.indices
 
     def __str__(self) -> str:
         return self.name + "".join(f"[{i}]" for i in self.indices)
@@ -110,9 +144,8 @@ class BinOp(Expr):
         if self.op not in ALL_BINOPS:
             raise ValueError(f"unknown binary operator {self.op!r}")
 
-    def children(self) -> Iterator[Expr]:
-        yield self.lhs
-        yield self.rhs
+    def children(self) -> tuple[Expr, ...]:
+        return (self.lhs, self.rhs)
 
     def __str__(self) -> str:
         return f"({self.lhs} {self.op} {self.rhs})"
@@ -127,8 +160,8 @@ class UnaryOp(Expr):
         if self.op not in ("-", "!", "~", "+"):
             raise ValueError(f"unknown unary operator {self.op!r}")
 
-    def children(self) -> Iterator[Expr]:
-        yield self.operand
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
 
     def __str__(self) -> str:
         return f"({self.op}{self.operand})"
@@ -145,8 +178,8 @@ class Call(Expr):
         if self.func not in INTRINSICS:
             raise ValueError(f"unknown intrinsic {self.func!r}")
 
-    def children(self) -> Iterator[Expr]:
-        return iter(self.args)
+    def children(self) -> tuple[Expr, ...]:
+        return self.args
 
     def __str__(self) -> str:
         return f"{self.func}({', '.join(map(str, self.args))})"
@@ -160,10 +193,8 @@ class Ternary(Expr):
     then: Expr
     otherwise: Expr
 
-    def children(self) -> Iterator[Expr]:
-        yield self.cond
-        yield self.then
-        yield self.otherwise
+    def children(self) -> tuple[Expr, ...]:
+        return (self.cond, self.then, self.otherwise)
 
     def __str__(self) -> str:
         return f"({self.cond} ? {self.then} : {self.otherwise})"
@@ -176,8 +207,8 @@ class Cast(Expr):
     dtype: DType
     operand: Expr
 
-    def children(self) -> Iterator[Expr]:
-        yield self.operand
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
 
     def __str__(self) -> str:
         return f"(({self.dtype.c_name}){self.operand})"

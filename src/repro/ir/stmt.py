@@ -27,24 +27,30 @@ class Stmt:
 
     __slots__ = ()
 
-    def children_stmts(self) -> Iterator["Stmt"]:
-        return iter(())
+    def children_stmts(self) -> tuple["Stmt", ...]:
+        return ()
 
     def children_exprs(self) -> Iterator[Expr]:
         return iter(())
 
     def walk(self) -> Iterator["Stmt"]:
+        """Yield this statement and all nested statements, pre-order."""
         yield self
-        for child in self.children_stmts():
-            yield from child.walk()
+        stack = list(self.children_stmts()[::-1])
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children_stmts()
+            if children:
+                stack.extend(children[::-1])
 
 
 @dataclass
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
-    def children_stmts(self) -> Iterator[Stmt]:
-        return iter(self.stmts)
+    def children_stmts(self) -> tuple[Stmt, ...]:
+        return tuple(self.stmts)
 
     def __iter__(self):
         return iter(self.stmts)
@@ -95,10 +101,10 @@ class If(Stmt):
     then_body: Block
     else_body: Block | None = None
 
-    def children_stmts(self) -> Iterator[Stmt]:
-        yield self.then_body
-        if self.else_body is not None:
-            yield self.else_body
+    def children_stmts(self) -> tuple[Stmt, ...]:
+        if self.else_body is None:
+            return (self.then_body,)
+        return (self.then_body, self.else_body)
 
     def children_exprs(self) -> Iterator[Expr]:
         yield self.cond
@@ -120,8 +126,8 @@ class For(Stmt):
     directives: DirectiveSet = field(default_factory=DirectiveSet)
     loop_id: int = field(default_factory=_fresh_loop_id)
 
-    def children_stmts(self) -> Iterator[Stmt]:
-        yield self.body
+    def children_stmts(self) -> tuple[Stmt, ...]:
+        return (self.body,)
 
     def children_exprs(self) -> Iterator[Expr]:
         yield self.lower
@@ -135,8 +141,8 @@ class While(Stmt):
     cond: Expr
     body: Block
 
-    def children_stmts(self) -> Iterator[Stmt]:
-        yield self.body
+    def children_stmts(self) -> tuple[Stmt, ...]:
+        return (self.body,)
 
     def children_exprs(self) -> Iterator[Expr]:
         yield self.cond

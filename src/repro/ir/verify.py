@@ -224,7 +224,8 @@ def _expr_uses(
     out: list[VerifyFailure],
     where: str,
 ) -> None:
-    for name in sorted(free_vars(expr)):
+    scalars, array_names = expr.uses()
+    for name in scalars:
         if name not in defined:
             out.append(
                 VerifyFailure(
@@ -233,13 +234,13 @@ def _expr_uses(
                     f"scalar {name!r} used {where} before any definition",
                 )
             )
-    for node in expr.walk():
-        if isinstance(node, ArrayRef) and node.name not in arrays:
+    for name in array_names:
+        if name not in arrays:
             out.append(
                 VerifyFailure(
                     "known-arrays",
                     kernel.name,
-                    f"array {node.name!r} referenced {where} is not an "
+                    f"array {name!r} referenced {where} is not an "
                     "array parameter",
                 )
             )

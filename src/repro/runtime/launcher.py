@@ -247,17 +247,11 @@ def kernel_host_profile(
     kernel: "CompiledKernel", env: dict[str, int], working_set: float
 ) -> WorkProfile:
     """The whole-kernel sequential profile used for host fallback."""
-    from ..analysis.patterns import count_ops
-
-    # an out-of-order host core predicts branches: no divergence penalty
-    ops = count_ops(kernel.ir.body, env, divergent=False)
-    elem = 4
-    for param in kernel.ir.array_params:
-        elem = max(elem, param.type.size_bytes)  # type: ignore[union-attr]
+    ops = kernel._host_ops(env)
     return WorkProfile(
         items=1,
         ops=ops,
-        bytes_per_item=float((ops.loads + ops.stores) * elem),
+        bytes_per_item=float((ops.loads + ops.stores) * kernel._elem_bytes),
         coalesced_fraction=1.0,
         working_set_bytes=working_set,
     )

@@ -216,9 +216,9 @@ class TestResilienceFlags:
 
 
 class TestFlagBounds:
-    """Count and size flags reject a value below their minimum, and
-    --port one outside 0..65535, as a usage error (exit 2) before the
-    command runs."""
+    """Count and size flags reject a value below their minimum, --port
+    one outside 0..65535, and the quota flags one that is not a positive
+    finite number, as a usage error (exit 2) before the command runs."""
 
     @pytest.mark.parametrize("argv", [
         ["heatmap", "--jobs", "0"],
@@ -239,6 +239,8 @@ class TestFlagBounds:
         ["serve", "--self-test", "--queue-depth", "0"],
         ["client", "--spawn", "sweep", "--points", "0"],
         ["telemetry", "trace.jsonl", "--limit", "0"],
+        ["serve", "--port", "0", "--shards", "0"],
+        ["serve", "--self-test", "--shards", "-2"],
     ])
     def test_below_minimum_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,6 +264,22 @@ class TestFlagBounds:
         assert "argument --port: expected an integer in 0..65535" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "0", "--quota-rate", "-1"],
+        ["serve", "--port", "0", "--quota-rate", "0"],
+        ["serve", "--port", "0", "--quota-burst", "0"],
+        ["serve", "--port", "0", "--quota-burst", "-0.5"],
+        ["serve", "--port", "0", "--quota-rate", "inf"],
+        ["serve", "--port", "0", "--quota-burst", "nan"],
+    ])
+    def test_quota_not_positive_finite_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a positive finite number" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv, dest, value", [
         (["exec-sweep", "--size", "2"], "size", 2),
         (["heatmap", "--jobs", "1"], "jobs", 1),
@@ -269,6 +287,9 @@ class TestFlagBounds:
         (["difftest", "--start", "0"], "start", 0),
         (["serve", "--port", "0"], "port", 0),
         (["client", "--port", "65535", "status"], "port", 65535),
+        (["serve", "--shards", "1"], "shards", 1),
+        (["serve", "--quota-rate", "1e9"], "quota_rate", 1e9),
+        (["serve", "--quota-burst", "0.5"], "quota_burst", 0.5),
     ])
     def test_minimum_is_accepted(self, argv, dest, value):
         assert getattr(build_parser().parse_args(argv), dest) == value
@@ -278,6 +299,12 @@ class TestFlagBounds:
             main(["heatmap", "--jobs", "two"])
         assert exc.value.code == 2
         assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_non_number_quota_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--quota-rate", "fast"])
+        assert exc.value.code == 2
+        assert "invalid float value: 'fast'" in capsys.readouterr().err
 
 
 class TestExecBackendScope:
