@@ -246,6 +246,19 @@ class CompiledKernel:
             vectorizable_fraction=vectorizable,
         )
 
+    def host_profile(
+        self, env: dict[str, int], working_set_bytes: float
+    ) -> WorkProfile:
+        """The whole-kernel sequential profile used for host fallback."""
+        ops = self._host_ops(env)
+        return WorkProfile(
+            items=1,
+            ops=ops,
+            bytes_per_item=float((ops.loads + ops.stores) * self._elem_bytes),
+            coalesced_fraction=1.0,
+            working_set_bytes=working_set_bytes,
+        )
+
 
 #: the cached launch facts of a :class:`CompiledKernel`
 _LAUNCH_FACTS = frozenset(

@@ -259,16 +259,12 @@ def idx(name: str, *indices) -> ArrayRef:
 
 def free_vars(expr: Expr) -> set[str]:
     """Names of all scalar variables referenced by *expr*."""
-    names: set[str] = set()
-    for node in expr.walk():
-        if isinstance(node, Var):
-            names.add(node.name)
-    return names
+    return set(expr.uses()[0])
 
 
 def arrays_referenced(expr: Expr) -> set[str]:
     """Names of all arrays referenced by *expr*."""
-    return {node.name for node in expr.walk() if isinstance(node, ArrayRef)}
+    return set(expr.uses()[1])
 
 
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:

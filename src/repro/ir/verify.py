@@ -37,6 +37,7 @@ Failures raise :class:`VerifyError`, which carries structured
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .directives import AccCache, AccData, AccLoop
@@ -132,72 +133,74 @@ def _check_unique_loop_ids(kernel: KernelFunction) -> list[VerifyFailure]:
 
 def _check_stmt_integrity(kernel: KernelFunction) -> list[VerifyFailure]:
     out: list[VerifyFailure] = []
-    seen_ids: set[int] = set()
 
     def fail(detail: str, loop_id: int | None = None) -> None:
         out.append(
             VerifyFailure("stmt-integrity", kernel.name, detail, loop_id)
         )
 
-    def visit(stmt: Stmt) -> None:
-        if id(stmt) in seen_ids:
-            fail(
-                f"{type(stmt).__name__} node appears more than once in the "
-                "tree (aliased statement; transforms must clone)"
-            )
-            return  # do not recurse a second time
-        seen_ids.add(id(stmt))
-        if isinstance(stmt, Block):
-            for child in stmt.stmts:
-                if not isinstance(child, Stmt):
-                    fail(f"Block contains non-statement {type(child).__name__}")
-                else:
-                    visit(child)
-            return
-        if isinstance(stmt, Assign):
-            if not isinstance(stmt.target, (Var, ArrayRef)):
-                fail(
-                    "assignment target is "
-                    f"{type(stmt.target).__name__}, not an lvalue"
-                )
-            if stmt.op is not None and stmt.op not in ("+", "-", "*", "/"):
-                fail(f"compound assignment operator {stmt.op!r} is illegal")
-            return
-        if isinstance(stmt, If):
-            if not isinstance(stmt.then_body, Block):
-                fail("If.then_body is not a Block")
-            else:
-                visit(stmt.then_body)
-            if stmt.else_body is not None:
-                if not isinstance(stmt.else_body, Block):
-                    fail("If.else_body is not a Block")
-                else:
-                    visit(stmt.else_body)
-            return
-        if isinstance(stmt, For):
-            if not isinstance(stmt.body, Block):
-                fail("For.body is not a Block", stmt.loop_id)
-            else:
-                visit(stmt.body)
-            if not isinstance(stmt.step, int) or stmt.step < 1:
-                fail(
-                    f"loop over {stmt.var!r} has non-positive step "
-                    f"{stmt.step!r}",
-                    stmt.loop_id,
-                )
-            return
-        if isinstance(stmt, While):
-            if not isinstance(stmt.body, Block):
-                fail("While.body is not a Block")
-            else:
-                visit(stmt.body)
-            return
-        if isinstance(stmt, (Decl, Barrier)):
-            return
-        fail(f"unknown statement node {type(stmt).__name__}")
-
-    visit(kernel.body)
+    _visit_integrity(kernel.body, set(), fail)
     return out
+
+
+def _visit_integrity(
+    stmt: Stmt, seen_ids: set[int], fail: Callable[..., None]
+) -> None:
+    if id(stmt) in seen_ids:
+        fail(
+            f"{type(stmt).__name__} node appears more than once in the "
+            "tree (aliased statement; transforms must clone)"
+        )
+        return  # do not recurse a second time
+    seen_ids.add(id(stmt))
+    if isinstance(stmt, Block):
+        for child in stmt.stmts:
+            if not isinstance(child, Stmt):
+                fail(f"Block contains non-statement {type(child).__name__}")
+            else:
+                _visit_integrity(child, seen_ids, fail)
+        return
+    if isinstance(stmt, Assign):
+        if not isinstance(stmt.target, (Var, ArrayRef)):
+            fail(
+                "assignment target is "
+                f"{type(stmt.target).__name__}, not an lvalue"
+            )
+        if stmt.op is not None and stmt.op not in ("+", "-", "*", "/"):
+            fail(f"compound assignment operator {stmt.op!r} is illegal")
+        return
+    if isinstance(stmt, If):
+        if not isinstance(stmt.then_body, Block):
+            fail("If.then_body is not a Block")
+        else:
+            _visit_integrity(stmt.then_body, seen_ids, fail)
+        if stmt.else_body is not None:
+            if not isinstance(stmt.else_body, Block):
+                fail("If.else_body is not a Block")
+            else:
+                _visit_integrity(stmt.else_body, seen_ids, fail)
+        return
+    if isinstance(stmt, For):
+        if not isinstance(stmt.body, Block):
+            fail("For.body is not a Block", stmt.loop_id)
+        else:
+            _visit_integrity(stmt.body, seen_ids, fail)
+        if not isinstance(stmt.step, int) or stmt.step < 1:
+            fail(
+                f"loop over {stmt.var!r} has non-positive step "
+                f"{stmt.step!r}",
+                stmt.loop_id,
+            )
+        return
+    if isinstance(stmt, While):
+        if not isinstance(stmt.body, Block):
+            fail("While.body is not a Block")
+        else:
+            _visit_integrity(stmt.body, seen_ids, fail)
+        return
+    if isinstance(stmt, (Decl, Barrier)):
+        return
+    fail(f"unknown statement node {type(stmt).__name__}")
 
 
 def _check_unique_params(kernel: KernelFunction) -> list[VerifyFailure]:
@@ -253,55 +256,64 @@ def _check_def_before_use(kernel: KernelFunction) -> list[VerifyFailure]:
         p.name for p in kernel.params if not isinstance(p.type, ArrayType)
     }
 
-    def visit(stmt: Stmt, defined: set[str]) -> set[str]:
-        """Walk in execution order; returns the defined-set after *stmt*."""
-        if isinstance(stmt, Block):
-            for child in stmt.stmts:
-                defined = visit(child, defined)
-            return defined
-        if isinstance(stmt, Decl):
-            if stmt.init is not None:
-                _expr_uses(stmt.init, defined, arrays, kernel, out,
-                           f"in initializer of {stmt.name!r}")
-            return defined | {stmt.name}
-        if isinstance(stmt, Assign):
-            _expr_uses(stmt.value, defined, arrays, kernel, out,
-                       "in assignment value")
-            if isinstance(stmt.target, ArrayRef):
-                _expr_uses(stmt.target, defined, arrays, kernel, out,
-                           "in store subscript")
-                return defined
-            if isinstance(stmt.target, Var):
-                # a plain scalar store defines the scalar for later stmts
-                return defined | {stmt.target.name}
-            return defined  # non-lvalue target: stmt-integrity reports it
-        if isinstance(stmt, If):
-            _expr_uses(stmt.cond, defined, arrays, kernel, out,
-                       "in if condition")
-            then_defs = visit(stmt.then_body, set(defined))
-            if stmt.else_body is not None:
-                else_defs = visit(stmt.else_body, set(defined))
-                return then_defs & else_defs  # defined on both paths only
-            return defined
-        if isinstance(stmt, For):
-            inner = defined | {stmt.var}
-            _expr_uses(stmt.lower, inner, arrays, kernel, out,
-                       f"in bounds of loop over {stmt.var!r}")
-            _expr_uses(stmt.upper, inner, arrays, kernel, out,
-                       f"in bounds of loop over {stmt.var!r}")
-            visit(stmt.body, inner)
-            # the C idiom declares indices up front; the loop variable
-            # holds its final value after the loop
-            return defined | {stmt.var}
-        if isinstance(stmt, While):
-            _expr_uses(stmt.cond, defined, arrays, kernel, out,
-                       "in while condition")
-            visit(stmt.body, set(defined))
-            return defined
-        return defined
-
-    visit(kernel.body, scalars)
+    _visit_defs(kernel.body, scalars, arrays, kernel, out)
     return out
+
+
+def _visit_defs(
+    stmt: Stmt,
+    defined: set[str],
+    arrays: set[str],
+    kernel: KernelFunction,
+    out: list[VerifyFailure],
+) -> set[str]:
+    """Walk in execution order; returns the defined-set after *stmt*."""
+    if isinstance(stmt, Block):
+        for child in stmt.stmts:
+            defined = _visit_defs(child, defined, arrays, kernel, out)
+        return defined
+    if isinstance(stmt, Decl):
+        if stmt.init is not None:
+            _expr_uses(stmt.init, defined, arrays, kernel, out,
+                       f"in initializer of {stmt.name!r}")
+        return defined | {stmt.name}
+    if isinstance(stmt, Assign):
+        _expr_uses(stmt.value, defined, arrays, kernel, out,
+                   "in assignment value")
+        if isinstance(stmt.target, ArrayRef):
+            _expr_uses(stmt.target, defined, arrays, kernel, out,
+                       "in store subscript")
+            return defined
+        if isinstance(stmt.target, Var):
+            # a plain scalar store defines the scalar for later stmts
+            return defined | {stmt.target.name}
+        return defined  # non-lvalue target: stmt-integrity reports it
+    if isinstance(stmt, If):
+        _expr_uses(stmt.cond, defined, arrays, kernel, out,
+                   "in if condition")
+        then_defs = _visit_defs(stmt.then_body, set(defined), arrays,
+                                kernel, out)
+        if stmt.else_body is not None:
+            else_defs = _visit_defs(stmt.else_body, set(defined), arrays,
+                                    kernel, out)
+            return then_defs & else_defs  # defined on both paths only
+        return defined
+    if isinstance(stmt, For):
+        inner = defined | {stmt.var}
+        _expr_uses(stmt.lower, inner, arrays, kernel, out,
+                   f"in bounds of loop over {stmt.var!r}")
+        _expr_uses(stmt.upper, inner, arrays, kernel, out,
+                   f"in bounds of loop over {stmt.var!r}")
+        _visit_defs(stmt.body, inner, arrays, kernel, out)
+        # the C idiom declares indices up front; the loop variable
+        # holds its final value after the loop
+        return defined | {stmt.var}
+    if isinstance(stmt, While):
+        _expr_uses(stmt.cond, defined, arrays, kernel, out,
+                   "in while condition")
+        _visit_defs(stmt.body, set(defined), arrays, kernel, out)
+        return defined
+    return defined
 
 
 # ---------------------------------------------------------------------------
@@ -550,46 +562,49 @@ def _parallelism_levels(loop: For) -> set[int]:
 def _outermost_loops(stmt: Stmt) -> list[For]:
     """The For loops under *stmt* that have no For between them and it."""
     found: list[For] = []
-
-    def scan(node: Stmt) -> None:
+    stack = list(reversed(stmt.children_stmts()))
+    while stack:
+        node = stack.pop()
         if isinstance(node, For):
             found.append(node)
-            return
-        for child in node.children_stmts():
-            scan(child)
-
-    for child in stmt.children_stmts():
-        scan(child)
+        else:
+            stack.extend(reversed(node.children_stmts()))
     return found
 
 
 def _check_gang_worker_nesting(kernel: KernelFunction) -> list[VerifyFailure]:
-    out = []
-
-    def visit(loop: For, floor: int, ancestor: For | None) -> None:
-        levels = _parallelism_levels(loop)
-        coarse = {lvl for lvl in levels if lvl >= floor}
-        if coarse and ancestor is not None:
-            names = sorted(c for c, lvl in _CLAUSE_LEVELS if lvl in coarse)
-            out.append(
-                VerifyFailure(
-                    "gang-worker-nesting",
-                    kernel.name,
-                    f"loop over {loop.var!r} schedules {'/'.join(names)} "
-                    f"inside the loop over {ancestor.var!r}, which already "
-                    "occupies that parallelism level or finer",
-                    loop_id=loop.loop_id,
-                )
-            )
-        inner_floor = min(floor, *levels) if levels else floor
-        inner_ancestor = loop if levels else ancestor
-        for inner in _outermost_loops(loop.body):
-            visit(inner, inner_floor, inner_ancestor)
-
+    out: list[VerifyFailure] = []
     # floor 4 is coarser than gang(3): an outermost loop may use any level
     for top in _outermost_loops(kernel.body):
-        visit(top, 4, None)
+        _visit_nesting(top, 4, None, kernel, out)
     return out
+
+
+def _visit_nesting(
+    loop: For,
+    floor: int,
+    ancestor: For | None,
+    kernel: KernelFunction,
+    out: list[VerifyFailure],
+) -> None:
+    levels = _parallelism_levels(loop)
+    coarse = {lvl for lvl in levels if lvl >= floor}
+    if coarse and ancestor is not None:
+        names = sorted(c for c, lvl in _CLAUSE_LEVELS if lvl in coarse)
+        out.append(
+            VerifyFailure(
+                "gang-worker-nesting",
+                kernel.name,
+                f"loop over {loop.var!r} schedules {'/'.join(names)} "
+                f"inside the loop over {ancestor.var!r}, which already "
+                "occupies that parallelism level or finer",
+                loop_id=loop.loop_id,
+            )
+        )
+    inner_floor = min(floor, *levels) if levels else floor
+    inner_ancestor = loop if levels else ancestor
+    for inner in _outermost_loops(loop.body):
+        _visit_nesting(inner, inner_floor, inner_ancestor, kernel, out)
 
 
 def _check_param_intent(kernel: KernelFunction) -> list[VerifyFailure]:

@@ -11,7 +11,7 @@ from .executor import (
     kernel_python_source,
     set_default_backend,
 )
-from .launcher import Accelerator, LaunchRecord, RuntimeError_, kernel_host_profile
+from .launcher import Accelerator, LaunchRecord, RuntimeError_
 from .profiler import ProfileEvent, Profiler
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "clear_kernel_cache",
     "compile_kernel_fn",
     "execute_kernel",
-    "kernel_host_profile",
     "kernel_python_source",
     "set_default_backend",
 ]

@@ -186,7 +186,7 @@ class Accelerator:
 
         if kernel.elided:
             # host fallback: the region runs on the host CPU, sequentially
-            host_profile = kernel_host_profile(kernel, env, working_set)
+            host_profile = kernel.host_profile(env, working_set)
             breakdown = estimate_time(
                 self.host, LaunchConfig(sequential=True), host_profile
             )
@@ -241,17 +241,3 @@ class Accelerator:
     def reset_timeline(self) -> None:
         self.profiler.clear()
         self.launches.clear()
-
-
-def kernel_host_profile(
-    kernel: "CompiledKernel", env: dict[str, int], working_set: float
-) -> WorkProfile:
-    """The whole-kernel sequential profile used for host fallback."""
-    ops = kernel._host_ops(env)
-    return WorkProfile(
-        items=1,
-        ops=ops,
-        bytes_per_item=float((ops.loads + ops.stores) * kernel._elem_bytes),
-        coalesced_fraction=1.0,
-        working_set_bytes=working_set,
-    )

@@ -12,7 +12,9 @@ verifier that walked every expression afresh.
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -253,3 +255,26 @@ def test_memo_is_left_out_of_pickles_and_copies():
     assert "_uses" not in vars(pickle.loads(before))
     assert "_uses" not in vars(copy.copy(expr))
     assert copy.deepcopy(expr) == expr
+
+
+def test_free_vars_and_arrays_referenced_read_the_use_facts():
+    from repro.ir.expr import arrays_referenced, free_vars
+
+    expr = BinOp("+", Var("x"), ArrayRef("a", (Var("i"), Var("x"))))
+    assert free_vars(expr) == {"i", "x"}
+    assert arrays_referenced(expr) == {"a"}
+    assert "_uses" in vars(expr)
+
+
+@pytest.mark.parametrize("level", ["structure", "strict"])
+def test_a_checked_kernel_is_freed_without_the_cyclic_collector(level):
+    """The checks leave no reference cycle that holds the kernel."""
+    gc.disable()
+    try:
+        kernel = clean_kernel()
+        assert check_kernel(kernel, level) == []
+        ref = weakref.ref(kernel)
+        del kernel
+        assert ref() is None
+    finally:
+        gc.enable()

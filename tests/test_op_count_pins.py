@@ -16,7 +16,7 @@ the ``count_ops`` result of the kernel body and of every loop body at
 four envs (full sizes, other sizes, a partial env that leaves bounds to
 the ``_default_trip`` hint, and no env at all, which leaves them to
 ``DEFAULT_TRIP``), with ``divergent`` on and off; and the ``launch_config``,
-``work_profile`` and ``kernel_host_profile`` of every compiled kernel.
+``work_profile`` and ``host_profile`` of every compiled kernel.
 
 Each kernel's results are hashed to one sha256 prefix in
 ``op_count_pins.json``, generated from the plain recursive
@@ -130,8 +130,6 @@ def kernel_op_counts(kernel) -> dict:
 
 def compiled_launch_facts(compiled) -> dict:
     """Launch geometry and work profiles of one compiled kernel, per env."""
-    from repro.runtime.launcher import kernel_host_profile
-
     out = {"ops": kernel_op_counts(compiled.ir)}
     for env_name, env in _envs(compiled.ir).items():
         if env is None:
@@ -144,7 +142,7 @@ def compiled_launch_facts(compiled) -> dict:
             compiled.work_profile(env, 1.0e6)
         )
         out[f"host/{env_name}"] = _profile(
-            kernel_host_profile(compiled, env, 2.0e6)
+            compiled.host_profile(env, 2.0e6)
         )
     return out
 
