@@ -68,8 +68,8 @@ class Expr:
         shared between clones, and left out of its pickled state.
         """
         try:
-            return self.__dict__["_uses"]
-        except KeyError:
+            return self._uses  # type: ignore[attr-defined]
+        except AttributeError:
             pass
         scalars: set[str] = set()
         arrays: list[str] = []
@@ -78,7 +78,10 @@ class Expr:
                 scalars.add(node.name)
             elif isinstance(node, ArrayRef):
                 arrays.append(node.name)
-        uses = self.__dict__["_uses"] = (tuple(sorted(scalars)), tuple(arrays))
+        uses = (tuple(sorted(scalars)), tuple(arrays))
+        # past the frozen-dataclass guard; an attribute store, unlike a
+        # write through __dict__, does not build the node's instance dict
+        object.__setattr__(self, "_uses", uses)
         return uses
 
     def __getstate__(self) -> dict:
