@@ -227,6 +227,46 @@ def _pair_has_carried_dependence(
     return "possible aliasing: symbolic offset between subscripts"
 
 
+def _scan_scalar_writes(
+    stmt: Stmt,
+    local_decls: set[str],
+    declared_inside: set[str],
+    compound_ops: dict[str, set[str]],
+    plain_writes: set[str],
+) -> None:
+    """Record the scalar writes under *stmt* into the three collections
+    (:func:`_scalar_reduction_candidates`); names in *local_decls* are
+    declared in an enclosing block of the body and are private."""
+    if isinstance(stmt, Block):
+        inner = set(local_decls)
+        for child in stmt.stmts:
+            _scan_scalar_writes(child, inner, declared_inside, compound_ops,
+                                plain_writes)
+            if isinstance(child, Decl):
+                inner.add(child.name)
+                declared_inside.add(child.name)
+    elif isinstance(stmt, If):
+        _scan_scalar_writes(stmt.then_body, local_decls, declared_inside,
+                            compound_ops, plain_writes)
+        if stmt.else_body is not None:
+            _scan_scalar_writes(stmt.else_body, local_decls, declared_inside,
+                                compound_ops, plain_writes)
+    elif isinstance(stmt, (For, While)):
+        _scan_scalar_writes(stmt.body, local_decls, declared_inside,
+                            compound_ops, plain_writes)
+    elif isinstance(stmt, Assign) and not isinstance(stmt.target, ArrayRef):
+        name = stmt.target.name
+        if name in local_decls:
+            return
+        if stmt.op in ("+", "-", "*"):
+            # subtraction accumulates into a "+"-class reduction
+            compound_ops.setdefault(name, set()).add(
+                "+" if stmt.op in ("+", "-") else stmt.op
+            )
+        else:
+            plain_writes.add(name)
+
+
 def _scalar_reduction_candidates(loop: For) -> tuple[list[ReductionInfo], list[str]]:
     """Classify scalar assignments in the loop body.
 
@@ -239,34 +279,8 @@ def _scalar_reduction_candidates(loop: For) -> tuple[list[ReductionInfo], list[s
     declared_inside: set[str] = set()
     compound_ops: dict[str, set[str]] = {}
     plain_writes: set[str] = set()
-
-    def scan(stmt: Stmt, local_decls: set[str]) -> None:
-        if isinstance(stmt, Block):
-            inner = set(local_decls)
-            for child in stmt.stmts:
-                scan(child, inner)
-                if isinstance(child, Decl):
-                    inner.add(child.name)
-                    declared_inside.add(child.name)
-        elif isinstance(stmt, If):
-            scan(stmt.then_body, local_decls)
-            if stmt.else_body is not None:
-                scan(stmt.else_body, local_decls)
-        elif isinstance(stmt, (For, While)):
-            scan(stmt.body, local_decls)
-        elif isinstance(stmt, Assign) and not isinstance(stmt.target, ArrayRef):
-            name = stmt.target.name
-            if name in local_decls:
-                return
-            if stmt.op in ("+", "-", "*"):
-                # subtraction accumulates into a "+"-class reduction
-                compound_ops.setdefault(name, set()).add(
-                    "+" if stmt.op in ("+", "-") else stmt.op
-                )
-            else:
-                plain_writes.add(name)
-
-    scan(loop.body, {loop.var})
+    _scan_scalar_writes(loop.body, {loop.var}, declared_inside, compound_ops,
+                        plain_writes)
 
     reductions: list[ReductionInfo] = []
     reasons: list[str] = []

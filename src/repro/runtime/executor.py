@@ -515,10 +515,10 @@ def _compile_uncached(
         registry = get_registry()
         registry.counter("executor.vectorized").inc(gen.vectorized_loops)
         registry.counter("executor.fallback").inc(gen.fallback_loops)
-        for reason, count in sorted(
-            getattr(gen, "fallback_reasons", {}).items()
-        ):
+        for reason, count in sorted(gen.fallback_reasons.items()):
             registry.counter(f"executor.fallback.{reason}").inc(count)
+        if gen.grid_nests:
+            registry.counter("executor.grid").inc(gen.grid_nests)
     else:
         source = _make_codegen(kernel, semantics, backend).source()
     return _exec_plan_source(source, backend, kernel.name)
@@ -619,6 +619,17 @@ def _check_args(kernel: KernelFunction,
     return call
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two same-dtype, same-shape arrays, compared in
+    place (no byte copies): NaNs with equal payloads match, ``0.0`` and
+    ``-0.0`` do not."""
+    size = a.dtype.itemsize
+    if size not in (1, 2, 4, 8):
+        return a.tobytes() == b.tobytes()  # e.g. long double padding
+    unsigned = np.dtype(f"u{size}")
+    return bool(np.array_equal(a.view(unsigned), b.view(unsigned)))
+
+
 def execute_kernel(
     kernel: KernelFunction,
     args: dict[str, object],
@@ -647,7 +658,7 @@ def execute_kernel(
         diverged = [
             name for name, value in call.items()
             if isinstance(value, np.ndarray)
-            and value.tobytes() != ref[name].tobytes()  # bitwise, NaN-safe
+            and not _same_bits(value, ref[name])
         ]
         if diverged:
             raise ExecutionError(

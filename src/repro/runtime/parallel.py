@@ -8,8 +8,10 @@ plans compile lazily inside :func:`repro.runtime.executor.execute_kernel`
 through its single-flight memo cache.
 
 :func:`run_exec_sweep` builds the LUD/GE/Hydro hot-kernel task list and
-runs it; :func:`sweep_digest` is the order-sensitive digest the
-determinism suite and ``BENCH_exec.json`` pin.
+runs it, streaming each task's buffers into :func:`sweep_digest` (the
+order-sensitive digest the determinism suite and ``BENCH_exec.json``
+pin) as soon as the task finishes, so the sweep holds one task's
+buffers at a time.
 
 Telemetry: one ``exec.task`` span per task (recorded once the task has
 run), inside one ``exec.sweep`` span per sweep.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,14 +43,13 @@ class ExecTask:
     semantics: dict[int, LoopSemantics] | None = None
 
 
-def run_tasks(
+def _executed(
     tasks: list[ExecTask],
-    backend: str | None = None,
-) -> list[dict[str, np.ndarray]]:
-    """Execute *tasks* in order; return each task's array buffers after
-    execution, in task order."""
+    backend: str | None,
+) -> Iterator[tuple[dict[str, np.ndarray], float]]:
+    """Execute *tasks* in order, yielding each task's array buffers and
+    its execution seconds as soon as it has run."""
     tracer = get_tracer()
-    results: list[dict[str, np.ndarray]] = []
     for index, task in enumerate(tasks):
         buffers = {
             name: value.copy()
@@ -57,25 +59,39 @@ def run_tasks(
         args = {**task.args, **buffers}
         start = time.perf_counter()
         execute_kernel(task.kernel, args, task.semantics, backend=backend)
+        seconds = time.perf_counter() - start
         tracer.record_span(
-            "exec.task", time.perf_counter() - start, category="exec",
+            "exec.task", seconds, category="exec",
             task=task.label, index=index,
         )
-        results.append(buffers)
-    return results
+        yield buffers, seconds
+
+
+def run_tasks(
+    tasks: list[ExecTask],
+    backend: str | None = None,
+) -> list[dict[str, np.ndarray]]:
+    """Execute *tasks* in order; return each task's array buffers after
+    execution, in task order."""
+    return [buffers for buffers, _ in _executed(tasks, backend)]
 
 
 # -- the execution-heavy sweep driver ----------------------------------------
 
 
-def sweep_digest(results: list[dict[str, np.ndarray]]) -> str:
+def sweep_digest(results: Iterable[dict[str, np.ndarray]]) -> str:
     """Order-sensitive SHA-256 over every result buffer (the sweep's
-    byte-identity is asserted on this digest)."""
+    byte-identity is asserted on this digest).
+
+    *results* may be a stream: each task's buffers are hashed from their
+    own memory (the bytes ``tobytes()`` would copy out, in the same
+    order) and can be freed as soon as the next task's arrive.
+    """
     digest = hashlib.sha256()
     for buffers in results:
         for name in sorted(buffers):
             digest.update(name.encode())
-            digest.update(buffers[name].tobytes())
+            digest.update(np.ascontiguousarray(buffers[name]))
     return digest.hexdigest()
 
 
@@ -124,22 +140,28 @@ def run_exec_sweep(
 
     Returns a summary with a deterministic ``digest`` over all result
     buffers — the determinism suite asserts digest equality across cold
-    runs, with and without injected compile faults.
+    runs, with and without injected compile faults — and ``seconds``,
+    the time spent executing the tasks (hashing left out).
     """
     if service is None:
         from ..service.scheduler import CompileService
 
         service = CompileService()
     sizes = dict(sizes or {"ge": 96, "lud": 128, "hydro": 96})
+    seconds: list[float] = []
+
+    def results() -> Iterator[dict[str, np.ndarray]]:
+        for buffers, elapsed in _executed(tasks, backend):
+            seconds.append(elapsed)
+            yield buffers
+
     with get_tracer().span("exec.sweep", category="exec", backend=backend):
         tasks = _sweep_tasks(service, sizes, repeats)
-        start = time.perf_counter()
-        results = run_tasks(tasks, backend=backend)
-        seconds = time.perf_counter() - start
+        digest = sweep_digest(results())
     return {
         "tasks": [task.label for task in tasks],
         "backend": backend,
         "sizes": sizes,
-        "seconds": seconds,
-        "digest": sweep_digest(results),
+        "seconds": sum(seconds),
+        "digest": digest,
     }

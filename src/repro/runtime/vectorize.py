@@ -8,9 +8,22 @@ for statement on the parts that are not vectorized.
 
 Legality (see ``docs/EXECUTOR.md`` for the full rules):
 
-* innermost loops only — the body may contain nothing but assignments,
-  ``if``s, and *top-level* scalar declarations (no nested loops,
-  ``while``, barriers, or declarations inside an ``if``);
+* a loop whose body is straight-line — assignments, ``if``s, and
+  *top-level* scalar declarations (no ``while``, barriers, or
+  declarations inside an ``if``) — lowers to one lane per iteration;
+* a two-level nest whose outer body holds top-level declarations,
+  assignments and ``if``s around exactly one such loop, with inner bounds
+  that are the same on every outer iteration, lowers to one row-major
+  (outer x inner) lane grid (:meth:`_VectorCodeGen._try_grid`).  It is
+  legal statically when the inner loop writes no array and the outer
+  loop is ``PARALLEL_SNAPSHOT`` or proved independent; otherwise the
+  generated code first checks that every cell the nest writes is read and
+  written by one outer row only (``_vgrid_owned``).  An empty grid, one
+  over :data:`GRID_LANES` lanes, or one whose check fails runs the
+  per-row code (outer loop scalar, inner loop vectorized), which the
+  generated function also holds; every other nest falls back per row at
+  compile time (``nested-loop``, or ``ragged-nest`` when the inner bounds
+  move with the outer loop);
 * a top-level declaration is privatized per iteration: its name becomes a
   lane vector (or a loop-invariant scalar), guarded updates under a
   vector mask lower to ``np.where(mask, new, old)``, and the final
@@ -88,6 +101,7 @@ from ..ir.expr import (
 from ..ir.stmt import Assign, Barrier, Block, Decl, For, If, Stmt, While
 from ..ir.types import ArrayType, DType
 from ..ir.visitors import writes_and_reads
+from ..telemetry.registry import get_registry
 from .executor import (
     _CALL_MAP,
     _CodeGen,
@@ -209,62 +223,89 @@ def _vimod(a, b):
     return a - _vidiv(a, b) * b
 
 
-def _vstore(arr, idx, val, mask, n):
+def _lane_shape(lanes) -> tuple[int, ...]:
+    """A loop's lane count, or a grid nest's ``(rows, cols)``, as a shape."""
+    return lanes if isinstance(lanes, tuple) else (lanes,)
+
+
+def _vstore(arr, idx, val, mask, lanes):
     """Masked scatter with the scalar loop's write order.
 
     NumPy fancy assignment applies duplicate indices in order, so the
     last (= highest iteration) value wins — exactly what the sequential
     snapshot-semantics loop produces.  A tuple *idx* is a rank > 1
     subscript: each dimension broadcasts to the lane axis and the store
-    goes through multi-dimensional fancy indexing.
+    goes through multi-dimensional fancy indexing.  *lanes* is a loop's
+    lane count or a grid nest's ``(rows, cols)``; a grid's lanes are
+    flattened row-major, which is the scalar nest's iteration order.
     """
-    val = np.broadcast_to(np.asarray(val), (n,))
-    if isinstance(idx, tuple):
-        dims = [np.broadcast_to(np.asarray(i), (n,)) for i in idx]
-        if mask is not None:
-            dims = [d[mask] for d in dims]
-            val = val[mask]
-        arr[tuple(dims)] = val
-        return
-    idx = np.broadcast_to(np.asarray(idx), (n,))
+    shape = _lane_shape(lanes)
+    dims = [np.broadcast_to(np.asarray(i), shape)
+            for i in (idx if isinstance(idx, tuple) else (idx,))]
+    val = np.broadcast_to(np.asarray(val), shape)
     if mask is not None:
-        idx = idx[mask]
+        mask = np.broadcast_to(mask, shape)
+        dims = [d[mask] for d in dims]
         val = val[mask]
-    arr[idx] = val
+    elif len(shape) > 1:
+        dims = [d.reshape(-1) for d in dims]
+        val = val.reshape(-1)
+    arr[tuple(dims) if isinstance(idx, tuple) else dims[0]] = val
 
 
-def _vstore_multi(arr, writes, n):
+def _vstore_multi(arr, writes, lanes):
     """Scatter several statements' writes to one array in iteration-major
     order.
 
     When two statements write overlapping cells, the scalar loop's final
     value is the one from the highest (iteration, statement) pair in
     *iteration-major* order; per-statement scatters would impose
-    statement-major order instead.  Interleaving all writes as an
-    (n, statements) grid and raveling row-major restores the scalar
-    order, and fancy assignment's in-order duplicate handling does the
-    rest.  Tuple indices (rank > 1 targets) interleave one grid per
+    statement-major order instead.  Interleaving all writes as a
+    (lanes..., statements) grid and raveling row-major restores the
+    scalar order, and fancy assignment's in-order duplicate handling does
+    the rest.  Tuple indices (rank > 1 targets) interleave one grid per
     dimension.
     """
     if not writes:
         return
-    cols = len(writes)
+    shape = _lane_shape(lanes) + (len(writes),)
     first = writes[0][0]
     rank = len(first) if isinstance(first, tuple) else 1
-    idxs = [np.empty((n, cols), dtype=np.int64) for _ in range(rank)]
-    val = np.empty((n, cols), dtype=arr.dtype)
-    keep = np.empty((n, cols), dtype=bool)
+    idxs = [np.empty(shape, dtype=np.int64) for _ in range(rank)]
+    val = np.empty(shape, dtype=arr.dtype)
+    keep = np.empty(shape, dtype=bool)
     for col, (i, v, m) in enumerate(writes):
         dims = i if isinstance(i, tuple) else (i,)
         for d, dim in enumerate(dims):
-            idxs[d][:, col] = np.broadcast_to(np.asarray(dim), (n,))
-        val[:, col] = np.broadcast_to(np.asarray(v), (n,))
-        keep[:, col] = True if m is None else m
+            idxs[d][..., col] = np.asarray(dim)
+        val[..., col] = np.asarray(v)
+        keep[..., col] = True if m is None else m
     flat = keep.ravel()
     if rank == 1:
         arr[idxs[0].ravel()[flat]] = val.ravel()[flat]
     else:
         arr[tuple(ix.ravel()[flat] for ix in idxs)] = val.ravel()[flat]
+
+
+def _vtake(arr, mask, *dims):
+    """Masked gather ``arr[dims]``.
+
+    Inactive lanes may hold subscripts the scalar loop would never
+    evaluate.  Only when some subscript is out of range are the vector
+    subscripts clamped to cell 0 on inactive lanes (which broadcasts them
+    to the mask's shape), so a read that raises is one the scalar loop
+    makes too, and otherwise a subscript keeps its own shape: a value
+    that varies by row only stays one value per row under a column mask.
+    Inactive lanes' values are never used.
+    """
+    for dim, size in zip(dims, arr.shape):
+        if isinstance(dim, np.ndarray) and dim.size and not (
+            -size <= dim.min() and dim.max() < size
+        ):
+            dims = tuple(np.where(mask, d, 0) if isinstance(d, np.ndarray)
+                         else d for d in dims)
+            break
+    return arr[dims]
 
 
 def _vreduce(acc, terms, op, weak):
@@ -301,13 +342,94 @@ def _vreduce(acc, terms, op, weak):
     return float(total) if acc_weak and weak else total
 
 
+def _vreduce_rows(acc, terms, op, weak, grid):
+    """:func:`_vreduce` for every row of a grid nest at once.
+
+    Row ``r`` folds ``terms[r, :]`` into ``acc[r]`` (or into a scalar
+    *acc* shared by all rows) with the same left-to-right recurrence, in
+    one ``accumulate`` along the row axis, and the chain dtype follows the
+    same per-step promotion.  An empty grid runs the per-row code, and
+    the lowering admits only unmasked reductions whose promotion kind the
+    terms cannot change (a float accumulator and float terms), so every
+    row takes at least one step and the rule needs no weak-accumulator
+    case: a weak accumulator only meets weak terms, and both hold
+    float64.
+    """
+    rows, cols = grid
+    terms = np.broadcast_to(terms, grid)
+    if op == "-":
+        terms = -terms  # a - b == a + (-b) exactly in IEEE 754
+        op = "+"
+    acc_dtype = np.asarray(acc).dtype
+    dt = acc_dtype if weak else np.result_type(acc_dtype, terms.dtype)
+    chain = np.empty((rows, cols + 1), dtype=dt)
+    chain[:, 0] = acc
+    chain[:, 1:] = terms
+    ufunc = np.add if op == "+" else np.multiply
+    return ufunc.accumulate(chain, axis=1)[:, -1]
+
+
+#: the most lanes a nest may lower to as one grid; a larger nest runs its
+#: per-row code (GE's fan2 at n = 512 is 511 x 512 = 261,632 lanes, while
+#: one at paper scale, 8192^2 lanes, would need gigabytes of temporaries)
+GRID_LANES = 1 << 20
+
+
+def _vgrid_reason(rows, cols):
+    """Why a grid nest of this size runs its per-row code, or ``None``."""
+    if not rows or not cols:
+        return "empty"
+    if rows * cols > GRID_LANES:
+        return "lane-budget"
+    return None
+
+
+def _vgrid_owned(arr, writes, reads, rows):
+    """Is every cell of *arr* that the nest writes read and written by
+    lanes of one outer row only?
+
+    *writes* and *reads* are the nest's subscripts into *arr* over the
+    grid (row axis first), masks ignored: a superset of the cells the
+    nest touches, so a ``True`` answer holds for the real accesses too.
+    Each written cell records the row that wrote it last; the answer is
+    ``False`` as soon as any access meets a cell another row wrote, or a
+    subscript falls outside the array.
+    """
+    owner = np.full(arr.shape, -1, dtype=np.int32)
+    row = np.arange(rows, dtype=np.int32).reshape(rows, 1)
+    try:
+        for idx in writes:
+            dims = idx if isinstance(idx, tuple) else (idx,)
+            *cells, lanes = np.broadcast_arrays(*dims, row)
+            owner[tuple(cells)] = lanes
+        if any((owner[idx] != row).any() for idx in writes):
+            return False
+        for idx in reads:
+            seen = owner[idx]
+            if ((seen != row) & (seen != -1)).any():
+                return False
+    except IndexError:
+        return False
+    return True
+
+
+def _vgrid_fallback(reason):
+    """Count one run of a grid nest that took its per-row code."""
+    get_registry().counter(f"executor.grid_fallback.{reason}").inc()
+
+
 _VHELPERS = {
     "np": np,
     "_vidiv": _vidiv,
     "_vimod": _vimod,
     "_vstore": _vstore,
     "_vstore_multi": _vstore_multi,
+    "_vtake": _vtake,
     "_vreduce": _vreduce,
+    "_vreduce_rows": _vreduce_rows,
+    "_vgrid_reason": _vgrid_reason,
+    "_vgrid_owned": _vgrid_owned,
+    "_vgrid_fallback": _vgrid_fallback,
 }
 
 
@@ -359,6 +481,45 @@ def _top_level_decls(body: Stmt) -> list[str]:
     return list(dict.fromkeys(names))
 
 
+def _note_stored_reads(expr: Expr, stored: set[str],
+                      needed: set[str]) -> None:
+    for sub in expr.walk():
+        if isinstance(sub, ArrayRef) and sub.name in stored:
+            needed.add(sub.name)
+
+
+def _scan_snapshot_reads(stmt: Stmt, deferred: set[str], stored: set[str],
+                         needed: set[str]) -> None:
+    """One step of :func:`_snapshot_copies_needed`'s linear scan: add to
+    *needed* the arrays *stmt* reads after an earlier store, then add the
+    arrays it stores (unless deferred) to *stored*."""
+    if isinstance(stmt, Block):
+        for child in stmt.stmts:
+            _scan_snapshot_reads(child, deferred, stored, needed)
+    elif isinstance(stmt, If):
+        _note_stored_reads(stmt.cond, stored, needed)
+        _scan_snapshot_reads(stmt.then_body, deferred, stored, needed)
+        if stmt.else_body is not None:
+            _scan_snapshot_reads(stmt.else_body, deferred, stored, needed)
+    elif isinstance(stmt, For):
+        # a grid nest's inner loop runs statement-at-a-time over the
+        # whole grid, so its statements join the outer body's order
+        _scan_snapshot_reads(stmt.body, deferred, stored, needed)
+    elif isinstance(stmt, Decl):
+        if stmt.init is not None:
+            _note_stored_reads(stmt.init, stored, needed)
+    elif isinstance(stmt, Assign):
+        _note_stored_reads(stmt.value, stored, needed)
+        if isinstance(stmt.target, ArrayRef):
+            for index in stmt.target.indices:
+                _note_stored_reads(index, stored, needed)
+            name = stmt.target.name
+            if stmt.op is not None and name in stored:
+                needed.add(name)  # compound read of mutated state
+            if name not in deferred:
+                stored.add(name)
+
+
 def _snapshot_copies_needed(body: Stmt, deferred: set[str]) -> set[str]:
     """Which written arrays actually need a snapshot *copy*.
 
@@ -374,38 +535,8 @@ def _snapshot_copies_needed(body: Stmt, deferred: set[str]) -> set[str]:
     emission order and a store anywhere marks the array stored from then
     on — over-approximating ``needed`` is always safe.
     """
-    stored: set[str] = set()
     needed: set[str] = set()
-
-    def expr_reads(expr: Expr) -> None:
-        for sub in expr.walk():
-            if isinstance(sub, ArrayRef) and sub.name in stored:
-                needed.add(sub.name)
-
-    def visit(stmt: Stmt) -> None:
-        if isinstance(stmt, Block):
-            for child in stmt.stmts:
-                visit(child)
-        elif isinstance(stmt, If):
-            expr_reads(stmt.cond)
-            visit(stmt.then_body)
-            if stmt.else_body is not None:
-                visit(stmt.else_body)
-        elif isinstance(stmt, Decl):
-            if stmt.init is not None:
-                expr_reads(stmt.init)
-        elif isinstance(stmt, Assign):
-            expr_reads(stmt.value)
-            if isinstance(stmt.target, ArrayRef):
-                for index in stmt.target.indices:
-                    expr_reads(index)
-                name = stmt.target.name
-                if stmt.op is not None and name in stored:
-                    needed.add(name)  # compound read of mutated state
-                if name not in deferred:
-                    stored.add(name)
-
-    visit(body)
+    _scan_snapshot_reads(body, deferred, set(), needed)
     return needed
 
 
@@ -430,6 +561,62 @@ def _reads_scalar(stmt: Stmt, names: set[str]) -> bool:
     return False
 
 
+def _dependence_reason(loop: For) -> str | None:
+    """The fallback reason a ``SEQUENTIAL`` loop's dependence verdict
+    gives, or ``None`` when the analyzer proves it independent."""
+    report = analyze_loop(loop)
+    if report.verdict in (Verdict.INDEPENDENT, Verdict.REDUCTION):
+        return None
+    if any("unanalyzable" in r for r in report.reasons):
+        return "non-affine-gather"
+    return "dependence"
+
+
+def _flat_stmts(body: Stmt) -> list[Stmt]:
+    """The top-level statements of *body*, nested blocks flattened."""
+    if not isinstance(body, Block):
+        return [body]
+    stmts: list[Stmt] = []
+    for child in body.stmts:
+        stmts.extend(_flat_stmts(child))
+    return stmts
+
+
+def _grid_parts(outer: For) -> tuple[For, list[Stmt]] | None:
+    """The inner loop and the other top-level statements of a nest that
+    has the grid's shape: exactly one inner loop at the top level of the
+    outer body, and straight-line code everywhere else."""
+    stmts = _flat_stmts(outer.body)
+    loops = [stmt for stmt in stmts if isinstance(stmt, For)]
+    if len(loops) != 1 or _body_shape_reason(loops[0].body) is not None:
+        return None
+    others = [stmt for stmt in stmts if not isinstance(stmt, For)]
+    if any(_body_shape_reason(stmt) is not None for stmt in others):
+        return None
+    return loops[0], others
+
+
+def _grid_footprint(outer: For, written: list[str], pure: set[str]):
+    """``{array: (write refs, read refs)}`` over every array the nest
+    writes, for its ownership check; ``None`` when a subscript reads an
+    array or a name in the nest (anything outside *pure*), which the
+    check could not evaluate before the nest runs."""
+    footprint: dict[str, tuple[list[ArrayRef], list[ArrayRef]]] = {
+        name: ([], []) for name in written
+    }
+    writes, reads = writes_and_reads(outer.body)
+    for refs, slot in ((writes, 0), (reads, 1)):
+        for ref in refs:
+            if ref.name not in footprint:
+                continue
+            for index in ref.indices:
+                scalars, arrays = index.uses()
+                if arrays or not pure.issuperset(scalars):
+                    return None
+            footprint[ref.name][slot].append(ref)
+    return footprint
+
+
 class _VectorCodeGen(_CodeGen):
     """Scalar codegen that opportunistically vectorizes eligible loops."""
 
@@ -440,14 +627,28 @@ class _VectorCodeGen(_CodeGen):
         #: fallback histogram: reason bucket -> count (one per loop that
         #: fell back); lands in ``executor.fallback.<reason>`` counters
         self.fallback_reasons: dict[str, int] = {}
-        self.runtime_helpers = dict(_VHELPERS)
+        #: loop nests lowered as one lane grid (``executor.grid``)
+        self.grid_nests = 0
         self._param_scalars = {
             p.name for p in kernel.params if not isinstance(p.type, ArrayType)
         }
         #: scalar-loop variables in scope: guaranteed plain Python ints
         self._int_scalars: set[str] = set()
-        self._vec_var: str | None = None
-        self._vec_iv: str | None = None
+        self._reset_lanes()
+
+    def _reset_lanes(self) -> None:
+        """Forget the state of the loop (or nest) being vectorized."""
+        #: vectorized loop variable -> the lane vector code it reads as
+        self._lane_vars: dict[str, str] = {}
+        #: the lane count (``iv.size``) or grid shape the store and
+        #: reduction helpers broadcast to
+        self._lanes = ""
+        #: the grid nest whose outer body is being lowered: (inner loop,
+        #: its semantics, loop variable -> grid lane code, grid shape)
+        self._grid_nest: tuple[For, LoopSemantics, dict[str, str], str] | None = None
+        #: inside a grid's inner body: the outer body's locals, which
+        #: hold one value per row (a vector one reads as a column)
+        self._row_locals: frozenset[str] | None = None
         self._reductions: dict[int, Assign] = {}
         #: arrays written by >1 statement of the current snapshot loop,
         #: mapped to the runtime list their writes are deferred into
@@ -466,13 +667,12 @@ class _VectorCodeGen(_CodeGen):
 
     def _gen_for(self, loop: For) -> None:
         reason = "zero-step" if loop.step == 0 else self._try_vectorize(loop)
+        self._int_scalars.add(loop.var)
         if reason is None:
             self.vectorized_loops += 1
-            self._int_scalars.add(loop.var)
             return
         self.fallback_loops += 1
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-        self._int_scalars.add(loop.var)
         super()._gen_for(loop)
 
     def _try_vectorize(self, loop: For) -> str | None:
@@ -481,48 +681,42 @@ class _VectorCodeGen(_CodeGen):
         if semantics.mode is ExecMode.REDUCTION_LAST_CHUNK:
             return "reduction-last-chunk"
         reason = _body_shape_reason(loop.body)
-        if reason is not None:
-            return reason
-        decls = _top_level_decls(loop.body)
-        if loop.var in decls:
-            return "control-flow"  # local shadows the induction variable
-        self._decl_names = decls
         try:
-            reason = self._plan_scalar_writes(loop, semantics)
+            if reason == "nested-loop":
+                return self._try_grid(loop, semantics)
             if reason is not None:
                 return reason
-            if semantics.mode is ExecMode.SEQUENTIAL:
-                report = analyze_loop(loop)
-                if report.verdict not in (Verdict.INDEPENDENT,
-                                          Verdict.REDUCTION):
-                    if any("unanalyzable" in r for r in report.reasons):
-                        return "non-affine-gather"
-                    return "dependence"
-
-            outer_lines = self.lines
-            level = self.level
-            snap_depth = len(self._snapshot_stack)
-            self.lines = []
-            self._vec_var = loop.var
-            try:
-                self._emit_vector_loop(loop, semantics)
-            except _NotVectorizable as exc:
-                self.lines = outer_lines
-                self.level = level
-                del self._snapshot_stack[snap_depth:]
-                return exc.reason
-            else:
-                outer_lines.extend(self.lines)
-                self.lines = outer_lines
-                return None
+            decls = _top_level_decls(loop.body)
+            if loop.var in decls:
+                return "control-flow"  # local shadows the induction variable
+            self._decl_names = decls
+            reason = self._plan_scalar_writes(loop, semantics)
+            if reason is None and semantics.mode is ExecMode.SEQUENTIAL:
+                reason = _dependence_reason(loop)
+            if reason is not None:
+                return reason
+            return self._emit_or_discard(self._emit_vector_loop, loop,
+                                         semantics)
         finally:
-            self._vec_var = None
-            self._vec_iv = None
-            self._reductions = {}
-            self._multi_writers = {}
-            self._decl_names = []
-            self._vlocals = {}
-            self._py_branch_depth = 0
+            self._reset_lanes()
+
+    def _emit_or_discard(self, emit, *args) -> str | None:
+        """Run *emit*; if it finds the loop not vectorizable, drop what it
+        emitted and return the fallback reason."""
+        outer_lines = self.lines
+        level = self.level
+        snap_depth = len(self._snapshot_stack)
+        self.lines = []
+        try:
+            emit(*args)
+        except _NotVectorizable as exc:
+            self.lines = outer_lines
+            self.level = level
+            del self._snapshot_stack[snap_depth:]
+            return exc.reason
+        outer_lines.extend(self.lines)
+        self.lines = outer_lines
+        return None
 
     def _plan_scalar_writes(self, loop: For,
                             semantics: LoopSemantics) -> str | None:
@@ -563,6 +757,165 @@ class _VectorCodeGen(_CodeGen):
         self._reductions = {id(a): a for a in reductions.values()}
         return None
 
+    # -- grid nests ---------------------------------------------------------
+
+    def _try_grid(self, outer: For, osem: LoopSemantics) -> str | None:
+        """Lower a two-level nest as one (outer x inner) lane grid, or
+        return the reason its outer loop falls back per row.
+
+        The generated code keeps the per-row lowering too, and takes it
+        when the grid is empty, over :data:`GRID_LANES`, or (for a nest
+        that is not statically legal) fails the ownership check.
+        """
+        parts = _grid_parts(outer)
+        if parts is None:
+            return "nested-loop"
+        inner, stmts = parts
+        isem = self.semantics.get(inner.loop_id, LoopSemantics())
+        outer_decls = _top_level_decls(outer.body)
+        inner_decls = _top_level_decls(inner.body)
+        names = [outer.var, inner.var, *outer_decls, *inner_decls]
+        # what the inner loop leaves behind differs from row to row in
+        # the scalar nest, so the outer statements must not read it
+        leftovers = {inner.var, *inner_decls}
+        if (
+            inner.step == 0
+            or isem.mode is ExecMode.REDUCTION_LAST_CHUNK
+            or len(set(names)) != len(names)
+            or any(assign.atomic for assign in _collect_assigns(outer.body))
+            or any(_reads_scalar(stmt, leftovers) for stmt in stmts)
+            or any(
+                isinstance(assign.target, Var)
+                and assign.target.name not in outer_decls
+                for stmt in stmts for assign in _collect_assigns(stmt)
+            )
+        ):
+            return "nested-loop"
+        moving = set(names)
+        for bound in (inner.lower, inner.upper):
+            scalars, arrays = bound.uses()
+            if arrays or moving.intersection(scalars):
+                return "ragged-nest"
+
+        written = sorted({ref.name for ref in writes_and_reads(outer.body)[0]})
+        static = not writes_and_reads(inner.body)[0] and (
+            osem.mode is ExecMode.PARALLEL_SNAPSHOT
+            or _dependence_reason(outer) is None
+        )
+        footprint = None
+        if not static:
+            pure = ({outer.var, inner.var} | self._int_scalars
+                    | self._param_scalars) - set(outer_decls) - set(inner_decls)
+            footprint = _grid_footprint(outer, written, pure)
+            if footprint is None:
+                return "nested-loop"
+        if self._emit_or_discard(self._emit_grid, outer, osem, inner, isem,
+                                 footprint) is not None:
+            return "nested-loop"
+        self.vectorized_loops += 1  # the inner loop; _gen_for counts the outer
+        self.grid_nests += 1
+        self._int_scalars.add(inner.var)
+        return None
+
+    def _emit_grid(self, outer: For, osem: LoopSemantics, inner: For,
+                   isem: LoopSemantics, footprint) -> None:
+        ivo, ivi = self._fresh("iv"), self._fresh("iv")
+        why, grid = self._fresh("why"), self._fresh("grid")
+        self._emit(
+            f"{ivo} = np.arange(int({self.gen_expr(outer.lower)}), "
+            f"int({self.gen_expr(outer.upper)}), {outer.step})"
+        )
+        # the scalar nest evaluates the inner bounds only inside a row
+        self._emit(
+            f"{ivi} = np.arange(int({self.gen_expr(inner.lower)}), "
+            f"int({self.gen_expr(inner.upper)}), {inner.step}) "
+            f"if {ivo}.size else {ivo}[:0]"
+        )
+        self._emit(f"{why} = _vgrid_reason({ivo}.size, {ivi}.size)")
+        grid_vars = {outer.var: f"{ivo}[:, None]", inner.var: ivi}
+        if footprint is not None:
+            self._lane_vars = grid_vars
+            checks = []
+            for name, (writes, reads) in sorted(footprint.items()):
+                wcodes = list(dict.fromkeys(map(self._subscript_code, writes)))
+                rcodes = [code for code in
+                          dict.fromkeys(map(self._subscript_code, reads))
+                          if code not in wcodes]
+                checks.append(
+                    f"_vgrid_owned({_pyname(name)}, "
+                    f"({''.join(c + ', ' for c in wcodes)}), "
+                    f"({''.join(c + ', ' for c in rcodes)}), {ivo}.size)"
+                )
+            self._emit(f"if {why} is None and not ({' and '.join(checks)}):")
+            self._emit(f"    {why} = 'ownership'")
+        self._emit(f"if {why} is None:")
+        self.level += 1
+        self._emit(f"{grid} = ({ivo}.size, {ivi}.size)")
+        self.dtypes[outer.var] = DType.INT32
+        self._lane_vars = {outer.var: ivo}
+        self._lanes = f"{ivo}.size"
+        self._decl_names = _top_level_decls(outer.body)
+        self._grid_nest = (inner, isem, grid_vars, grid)
+        # a nest that passed the ownership check has disjoint rows, so
+        # only a statically legal one needs the outer multi-writer scatter
+        self._emit_lane_body(outer, osem, defer=footprint is None)
+        self._emit_leaks(outer.var, ivo, "[-1]")
+        self.level -= 1
+        self._emit("else:")
+        self.level += 1
+        self._emit(f"_vgrid_fallback({why})")
+        # the per-row code is the run-time escape of a loop already
+        # counted as vectorized: its own loops count nothing
+        counts = (self.vectorized_loops, self.fallback_loops,
+                  dict(self.fallback_reasons), self.grid_nests)
+        self._reset_lanes()
+        self._int_scalars.add(outer.var)
+        _CodeGen._gen_for(self, outer)
+        (self.vectorized_loops, self.fallback_loops,
+         self.fallback_reasons, self.grid_nests) = counts
+        self.level -= 1
+
+    def _emit_grid_inner(self) -> None:
+        """Lower the grid nest's inner loop over every (row, column) lane,
+        in the outer body's statement order."""
+        assert self._grid_nest is not None
+        inner, isem, grid_vars, grid = self._grid_nest
+        saved = (self._lane_vars, self._lanes, self._decl_names,
+                 self._vlocals, self._reductions)
+        outer_decls = self._decl_names
+        self._decl_names = _top_level_decls(inner.body)
+        reason = self._plan_scalar_writes(inner, isem)
+        if reason is None and isem.mode is ExecMode.SEQUENTIAL:
+            reason = _dependence_reason(inner)
+        if reason is not None:
+            raise _NotVectorizable(f"inner loop: {reason}")
+        accs = {assign.target.name for assign in self._reductions.values()}
+        if not accs.issubset(outer_decls):
+            raise _NotVectorizable("reduction into a non-local")
+        self._lane_vars = grid_vars
+        self._lanes = grid
+        self._row_locals = frozenset(outer_decls)
+        self._vlocals = dict(self._vlocals)
+        self.dtypes[inner.var] = DType.INT32
+        try:
+            self._emit_lane_body(inner, isem, defer=True)
+            self._emit_leaks(inner.var, grid_vars[inner.var], ".flat[-1]")
+            reduced = {name: self._vlocals[name] for name in accs}
+        finally:
+            (self._lane_vars, self._lanes, self._decl_names,
+             self._vlocals, self._reductions) = saved
+            self._row_locals = None
+        self._vlocals.update(reduced)
+
+    def _subscript_code(self, ref: ArrayRef) -> str:
+        """The lane code of *ref*'s subscript (a tuple for rank > 1)."""
+        idxs = [self._vexpr(index, None) for index in ref.indices]
+        if any(idx.kind not in _INT_KINDS for idx in idxs):
+            raise _NotVectorizable("non-integer subscript")
+        if len(idxs) == 1:
+            return idxs[0].code
+        return f"({', '.join(idx.code for idx in idxs)})"
+
     # -- emission -----------------------------------------------------------
 
     def _emit_vector_loop(self, loop: For, semantics: LoopSemantics) -> None:
@@ -571,7 +924,8 @@ class _VectorCodeGen(_CodeGen):
         iv = self._fresh("iv")
         self._emit(f"{iv} = np.arange(int({lower}), int({upper}), {loop.step})")
         self.dtypes[loop.var] = DType.INT32
-        self._vec_iv = iv
+        self._lane_vars = {loop.var: iv}
+        self._lanes = f"{iv}.size"
 
         # Loops with privatized locals guard the whole body on a nonempty
         # iteration space: the scalar loop never executes a declaration
@@ -581,7 +935,20 @@ class _VectorCodeGen(_CodeGen):
         if wrapped:
             self._emit(f"if {iv}.size:")
             self.level += 1
+        self._emit_lane_body(loop, semantics, defer=True)
+        if wrapped:
+            self._emit_leaks(loop.var, iv, "[-1]")
+            self.level -= 1
+        else:
+            self._emit(f"if {iv}.size:")
+            self._emit(f"    {_pyname(loop.var)} = int({iv}[-1])")
 
+    def _emit_lane_body(self, loop: For, semantics: LoopSemantics,
+                        defer: bool) -> None:
+        """Lower *loop*'s body over the current lanes: its snapshot frame,
+        its statements and, with *defer*, its multi-writer scatters."""
+        outer_writers = self._multi_writers
+        self._multi_writers = {}
         pushed = False
         if semantics.mode is ExecMode.PARALLEL_SNAPSHOT:
             written = sorted(
@@ -592,7 +959,7 @@ class _VectorCodeGen(_CodeGen):
             # write order (iteration-major in the scalar loop).  Defer
             # such arrays' writes and scatter them interleaved at the end.
             counts: dict[str, int] = {}
-            for assign in _collect_assigns(loop.body):
+            for assign in _collect_assigns(loop.body) if defer else ():
                 if isinstance(assign.target, ArrayRef):
                     name = assign.target.name
                     counts[name] = counts.get(name, 0) + 1
@@ -624,34 +991,30 @@ class _VectorCodeGen(_CodeGen):
             for name in sorted(self._multi_writers):
                 self._emit(
                     f"_vstore_multi({_pyname(name)}, "
-                    f"{self._multi_writers[name]}, {iv}.size)"
+                    f"{self._multi_writers[name]}, {self._lanes})"
                 )
         finally:
             if pushed:
                 self._snapshot_stack.pop()
-            self._multi_writers = {}
-        # Python for-loops leak the final iterate into the enclosing scope
-        if wrapped:
-            self._emit(f"{_pyname(loop.var)} = int({iv}[-1])")
-            # ... and, with no block scope, the loop's locals leak their
-            # final-iteration values too.  A lane vector's last lane *is*
-            # that value; weak kinds re-become Python scalars so
-            # downstream promotion matches the scalar backend.
-            for name in self._decl_names:
-                final = self._vlocals.get(name)
-                if final is None or not final.vector:
-                    continue  # non-vector locals already hold the value
-                pyn = _pyname(name)
-                if final.kind == KWI:
-                    self._emit(f"{pyn} = int({pyn}[-1])")
-                elif final.kind == KFW:
-                    self._emit(f"{pyn} = float({pyn}[-1])")
-                else:
-                    self._emit(f"{pyn} = {pyn}[-1]")
-            self.level -= 1
-        else:
-            self._emit(f"if {iv}.size:")
-            self._emit(f"    {_pyname(loop.var)} = int({iv}[-1])")
+            self._multi_writers = outer_writers
+
+    def _emit_leaks(self, var: str, iv: str, last: str) -> None:
+        """Leak the final iterate, and the final lane of every vector
+        local, as the scalar loop (which has no block scope) leaves them;
+        *last* indexes a local's final lane.  Weak kinds re-become Python
+        scalars so downstream promotion matches the scalar backend."""
+        self._emit(f"{_pyname(var)} = int({iv}[-1])")
+        for name in self._decl_names:
+            final = self._vlocals.get(name)
+            if final is None or not final.vector:
+                continue  # non-vector locals already hold the value
+            pyn = _pyname(name)
+            if final.kind == KWI:
+                self._emit(f"{pyn} = int({pyn}{last})")
+            elif final.kind == KFW:
+                self._emit(f"{pyn} = float({pyn}{last})")
+            else:
+                self._emit(f"{pyn} = {pyn}{last}")
 
     def _vstmt(self, stmt: Stmt, mask: str | None) -> None:
         if isinstance(stmt, Block):
@@ -663,6 +1026,10 @@ class _VectorCodeGen(_CodeGen):
             return
         if isinstance(stmt, Decl):
             self._vdecl(stmt, mask)
+            return
+        if (isinstance(stmt, For) and self._grid_nest is not None
+                and stmt is self._grid_nest[0]):
+            self._emit_grid_inner()
             return
         if isinstance(stmt, Assign):
             if isinstance(stmt.target, Var):
@@ -817,8 +1184,7 @@ class _VectorCodeGen(_CodeGen):
             self._emit(f"{arr}[{joined}] = {value.code}")
             return
         self._emit(
-            f"_vstore({arr}, {idx_code}, {value.code}, {mask}, "
-            f"{self._vec_iv}.size)"
+            f"_vstore({arr}, {idx_code}, {value.code}, {mask}, {self._lanes})"
         )
 
     def _emit_reduction(self, stmt: Assign, mask: str | None) -> None:
@@ -830,15 +1196,41 @@ class _VectorCodeGen(_CodeGen):
         value = self._vexpr(stmt.value, mask)
         if value.kind not in _NUMERIC_KINDS:
             raise _NotVectorizable("non-numeric reduction term")
+        if self._row_locals is not None:
+            self._emit_row_reduction(stmt.target.name, stmt.op, value, mask)
+            return
         weak = value.kind in (KFW, KWI)
         terms = (
             value.code
             if value.vector
-            else f"np.full({self._vec_iv}.shape, {value.code})"
+            else f"np.full({self._lanes}, {value.code})"
         )
         if mask is not None:
             terms = f"({terms})[{mask}]"
         self._emit(f"{acc} = _vreduce({acc}, {terms}, {stmt.op!r}, {weak})")
+
+    def _emit_row_reduction(self, name: str, op: str, value: _VVal,
+                            mask: str | None) -> None:
+        """A grid's inner reduction into an outer-body local: one chain
+        per row.  Only unmasked reductions whose terms cannot change the
+        accumulator's promotion kind qualify (:func:`_vreduce_rows`)."""
+        acc = self._vlocals.get(name)
+        floats = (KFW, KF32, KF64)
+        if (
+            mask is not None
+            or acc is None  # declared after the inner loop
+            or (self._py_branch_depth and not acc.vector)
+            or acc.kind not in floats
+            or value.kind not in floats
+            or _combine(acc.kind, value.kind) != acc.kind
+        ):
+            raise _NotVectorizable(f"grid reduction into {name!r}")
+        pyn = _pyname(name)
+        self._emit(
+            f"{pyn} = _vreduce_rows({pyn}, {value.code}, {op!r}, "
+            f"{value.kind == KFW}, {self._lanes})"
+        )
+        self._vlocals[name] = _VVal(pyn, acc.kind, True)
 
     # -- expression lowering ------------------------------------------------
 
@@ -859,15 +1251,10 @@ class _VectorCodeGen(_CodeGen):
         if not any(idx.vector for idx in idxs):
             joined = ", ".join(idx.code for idx in idxs)
             return _VVal(f"{arr}[{joined}]", kind, False)
-        parts = []
-        for idx in idxs:
-            icode = idx.code
-            if idx.vector and mask is not None:
-                # inactive lanes may hold out-of-range subscripts the
-                # scalar loop would never evaluate; clamp to a safe cell
-                icode = f"np.where({mask}, {icode}, 0)"
-            parts.append(icode)
-        return _VVal(f"{arr}[{', '.join(parts)}]", kind, True)
+        joined = ", ".join(idx.code for idx in idxs)
+        if mask is not None:
+            return _VVal(f"_vtake({arr}, {mask}, {joined})", kind, True)
+        return _VVal(f"{arr}[{joined}]", kind, True)
 
     def _vbinop(self, op: str, lv: _VVal, rv: _VVal,
                 lexpr: Expr, rexpr: Expr) -> _VVal:
@@ -923,13 +1310,16 @@ class _VectorCodeGen(_CodeGen):
             return _VVal(repr(expr.value), KFW, False)
         if isinstance(expr, Var):
             name = expr.name
-            if name == self._vec_var:
-                assert self._vec_iv is not None
-                return _VVal(self._vec_iv, KWI, True)
+            lane = self._lane_vars.get(name)
+            if lane is not None:
+                return _VVal(lane, KWI, True)
             local = self._vlocals.get(name)
             if local is not None:
-                return _VVal(_pyname(name), local.kind, local.vector)
-            if name in self._decl_names:
+                code = _pyname(name)
+                if local.vector and self._row_locals and name in self._row_locals:
+                    code += "[:, None]"  # one value per row of the grid
+                return _VVal(code, local.kind, local.vector)
+            if name in self._decl_names or name in (self._row_locals or ()):
                 # declared later in this body: iteration one would read
                 # the outer binding, later iterations the previous
                 # iteration's local — a loop-carried dependence

@@ -252,6 +252,18 @@ class TestFallbacks:
         assert _vector_loop_count(k, sem) == (0, 1)
 
     def test_nested_loop_outer_falls_back_inner_vectorizes(self):
+        # a triangular nest: the inner range moves with the outer loop,
+        # so there is no rectangular grid and the outer loop runs scalar
+        k = parse_kernel(
+            "void f(float *a, int n) { int i; int j; "
+            "for (i = 0; i < n; i++) { "
+            "for (j = 0; j < i; j++) a[i * n + j] = a[i * n + j] * 2.0f; } }"
+        )
+        args = {"a": np.arange(16, dtype=np.float64), "n": 4}
+        run_both(k, args)
+        assert _vector_loop_count(k) == (1, 1)
+
+    def test_rectangular_nest_lowers_as_one_grid(self):
         k = parse_kernel(
             "void f(float *a, int n) { int i; int j; "
             "for (i = 0; i < n; i++) { "
@@ -259,7 +271,8 @@ class TestFallbacks:
         )
         args = {"a": np.arange(16, dtype=np.float64), "n": 4}
         run_both(k, args)
-        assert _vector_loop_count(k) == (1, 1)
+        assert _vector_loop_count(k) == (2, 0)
+        assert "_vgrid_reason" in kernel_python_source(k, backend="vector")
 
 
 class TestCheckBackendAndTelemetry:
@@ -274,6 +287,16 @@ class TestCheckBackendAndTelemetry:
             backend="check",
         )
         assert a[3] == 6.0
+
+    def test_check_compares_bits_in_place(self):
+        from repro.runtime.executor import _same_bits
+
+        nan = np.array([np.nan, 1.0, 0.0])
+        assert _same_bits(nan, nan.copy())  # NaN-safe
+        assert not _same_bits(nan, np.array([np.nan, 1.0, -0.0]))
+        strided = np.arange(12, dtype=np.float32)[::3]  # no copy needed
+        assert _same_bits(strided, strided.copy())
+        assert not _same_bits(strided, strided + 1)
 
     def test_vectorized_counter_increments(self):
         k = parse_kernel(
@@ -523,12 +546,22 @@ class TestFallbackReasonHistogram:
         return gen.fallback_reasons
 
     def test_nested_loop_reason(self):
+        # three deep: the outer loop is no grid; the (j, k) nest is one
+        k = parse_kernel(
+            "void f(float *a, int n) { int i; int j; int k; "
+            "for (i = 0; i < n; i++) { for (j = 0; j < n; j++) { "
+            "for (k = 0; k < 2; k++) "
+            "a[(i * n + j) * 2 + k] = a[(i * n + j) * 2 + k] * 2.0f; } } }"
+        )
+        assert self._reasons(k) == {"nested-loop": 1}
+
+    def test_ragged_nest_reason(self):
         k = parse_kernel(
             "void f(float *a, int n) { int i; int j; "
             "for (i = 0; i < n; i++) { "
-            "for (j = 0; j < n; j++) a[i * n + j] = a[i * n + j] * 2.0f; } }"
+            "for (j = 0; j < i; j++) a[i * n + j] = a[i * n + j] * 2.0f; } }"
         )
-        assert self._reasons(k) == {"nested-loop": 1}
+        assert self._reasons(k) == {"ragged-nest": 1}
 
     def test_atomics_reason(self):
         k = parse_kernel(

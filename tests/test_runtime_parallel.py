@@ -20,6 +20,12 @@ from repro.telemetry.spans import configure_tracer, reset_tracer
 
 SIZES = {"ge": 48, "lud": 64, "hydro": 48}
 
+#: run_exec_sweep's digest at SIZES, as recorded before the grid lowering
+#: and the streamed digest: both backends must keep producing it
+SWEEP_DIGEST = (
+    "b1c173d45ebe286f98c9241f29eaf10c4f84290e6a39fab33c93afc49da0fb3d"
+)
+
 
 @pytest.fixture(autouse=True)
 def _clean_state():
@@ -70,6 +76,18 @@ class TestRunTasks:
 
 
 class TestSweepDeterminism:
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_digest_is_pinned(self, backend):
+        result = run_exec_sweep(service=CompileService(), backend=backend,
+                                sizes=SIZES)
+        assert result["digest"] == SWEEP_DIGEST
+
+    def test_sweep_digest_of_a_stream_equals_that_of_a_list(self):
+        from repro.runtime.parallel import sweep_digest
+
+        results = run_tasks(TestRunTasks()._tasks(), backend="vector")
+        assert sweep_digest(iter(results)) == sweep_digest(results)
+
     def test_cold_runs_identical(self):
         digest1, counters1 = _cold_run()
         digest2, counters2 = _cold_run()
